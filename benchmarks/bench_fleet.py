@@ -39,9 +39,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from repro.core.collector import VscsiStatsCollector
-from repro.core.tracing import TraceRecord, replay_into_collector
+from repro.core.tracing import TraceRecord
 from repro.fleet import FleetAggregator, FleetLedger, FleetUplink
+from repro.parallel.trace_io import records_to_columns, replay_columns
 from repro.store.codec import collector_to_bytes, merge_collector_payloads
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -101,9 +101,8 @@ def make_fleet_snapshots(n):
     """
     payloads = []
     for disk in range(DISKS):
-        collector = replay_into_collector(
-            _records(EPOCH_COMMANDS, seed=77 + disk),
-            VscsiStatsCollector(), batch=True)
+        collector = replay_columns(records_to_columns(
+            _records(EPOCH_COMMANDS, seed=77 + disk)))
         payloads.append(collector_to_bytes(collector))
     snapshots = []
     for index in range(n):

@@ -7,8 +7,7 @@ and lands in the same vectorized inserts the offline replay uses.  This
 benchmark measures that claim end to end over a loopback socket:
 
 * ``frames=4096`` / ``frames=32768`` — one publisher streaming a
-  ``FULL_N``-command synthetic stream (the ``bench_parallel`` corpus
-  generator) at two frame sizes.  Small frames stress the per-frame
+  ``FULL_N``-command synthetic stream at two frame sizes.  Small frames stress the per-frame
   overhead (framing, ack round-trip, queue handoff); large frames
   amortize it toward raw kernel throughput.
 * ``inprocess`` — the same stream through :class:`repro.live.DiskStream`
@@ -54,9 +53,8 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_parallel import _make_stream_python, _make_stream_numpy
+import numpy as _np
 
 from repro.live import (
     ClusterServer,
@@ -64,12 +62,7 @@ from repro.live import (
     LiveStatsClient,
     LiveStatsServer,
 )
-from repro.parallel.trace_io import records_to_columns, replay_columns
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional
-    _np = None
+from repro.parallel.trace_io import TraceColumns, replay_columns
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_live.json"
@@ -117,10 +110,35 @@ def min_cluster_speedup(ncpu):
 
 
 def make_stream(n, seed=20070927):
-    """A single-disk stream in ``(issue, serial)`` order."""
-    if _np is not None:
-        return _make_stream_numpy(n, seed)
-    return records_to_columns(_make_stream_python(n, seed))
+    """A single-disk stream in ``(issue, serial)`` order: 70%
+    sequential, bursty."""
+    rng = _np.random.default_rng(seed)
+    sizes = _np.array([8, 8, 8, 16, 64, 128], dtype=_np.int64)
+    nblocks = sizes[rng.integers(0, len(sizes), n)]
+    gaps = rng.integers(1, 200_000, n, dtype=_np.int64)
+    gaps[rng.random(n) < 0.25] = 0  # same-timestamp bursts
+    times = _np.cumsum(gaps)
+    # Sequential runs: each random jump starts a segment at a fresh
+    # LBA; within a segment each command continues where the previous
+    # one ended.
+    jump = rng.random(n) >= 0.7
+    jump[0] = True
+    segment = _np.cumsum(jump) - 1
+    bases = rng.integers(0, 1 << 28, int(segment[-1]) + 1, dtype=_np.int64)
+    before = _np.concatenate(
+        [_np.zeros(1, dtype=_np.int64), _np.cumsum(nblocks)[:-1]]
+    )
+    seg_origin = before[jump][segment]
+    lbas = bases[segment] + (before - seg_origin)
+    latencies = rng.integers(100_000, 20_000_000, n, dtype=_np.int64)
+    return TraceColumns(
+        _np.arange(n, dtype=_np.uint64),
+        times,
+        times + latencies,
+        lbas,
+        nblocks.astype(_np.uint32),
+        rng.random(n) < 0.67,
+    )
 
 
 def _percentile(sorted_values, fraction):
@@ -160,8 +178,6 @@ def run_loopback(columns, frame_records, rotates=0):
 
 
 def _slice(columns, lo, hi):
-    from repro.parallel.trace_io import TraceColumns
-
     return TraceColumns(*(col[lo:hi] for col in columns.columns()))
 
 

@@ -1,10 +1,12 @@
 """Throughput regression gate for the committed benchmark records.
 
-Re-measures the replay throughput of every registered benchmark (the
-PR 1 hot-path ingestion modes, the sharded parallel replay modes, the
-live daemon's loopback ingest modes and the durable store's
-append/recover/query paths) and compares it against the committed
-``BENCH_*.json`` records.  Exits
+Re-measures the throughput of every registered benchmark (the live
+daemon's loopback ingest modes, the durable store's
+append/recover/query paths, the fleet tree, the flash model and the
+online analyzer) and compares it against the committed
+``BENCH_*.json`` records.  The hot-path and sharded-replay subjects
+are measured by ``benchmarks/pipeline/`` (``core.*_ns_per_cmd``,
+``parallel.replay_columns_ns_per_cmd``).  Exits
 non-zero when any mode regresses by more than ``TOLERANCE`` (20%), so
 CI can gate merges on throughput the same way it gates on tests.
 
@@ -22,7 +24,7 @@ is only comparable scale-matched.
 Usage::
 
     python benchmarks/compare_bench.py                 # gate every record
-    python benchmarks/compare_bench.py --only parallel # one benchmark
+    python benchmarks/compare_bench.py --only live     # one benchmark
     python benchmarks/compare_bench.py --n 200000      # quicker, scaled run
     python benchmarks/compare_bench.py --update        # re-measure and commit
 """
@@ -36,9 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bench_fleet
-import bench_hotpath
 import bench_live
-import bench_parallel
 import bench_ssd
 import bench_store
 import bench_watch
@@ -67,12 +67,8 @@ def _measure_store_gate(_n):
 BENCHMARKS = {
     "fleet": (bench_fleet.measure, bench_fleet.BENCH_JSON,
               bench_fleet.FULL_N, bench_fleet.FULL_N),
-    "hotpath": (bench_hotpath.measure, bench_hotpath.BENCH_JSON,
-                bench_hotpath.FULL_N, None),
     "live": (bench_live.measure, bench_live.BENCH_JSON,
              bench_live.FULL_N, None),
-    "parallel": (bench_parallel.measure, bench_parallel.BENCH_JSON,
-                 bench_parallel.FULL_N, None),
     "ssd": (bench_ssd.measure, bench_ssd.BENCH_JSON,
             bench_ssd.FULL_N, None),
     "store": (bench_store.measure, bench_store.BENCH_JSON,

@@ -615,20 +615,21 @@ def _fleet_epoch_chunks(columns, epochs: int):
     Rows are ordered by ``(issue_ns, serial)`` first so each chunk's
     span abuts the next — the order ``DiskStream``'s watermark needs.
     """
+    from .live.protocol import sort_columns_for_stream
     from .parallel.trace_io import TraceColumns
 
-    rows = sorted(zip(*columns.columns()), key=lambda r: (r[1], r[0]))
-    total = len(rows)
+    total = len(columns)
     if total == 0:
         return []
+    ordered = sort_columns_for_stream(columns).columns()
     epochs = max(1, min(epochs, total))
     base, extra = divmod(total, epochs)
     chunks, start = [], 0
     for i in range(epochs):
         size = base + (1 if i < extra else 0)
-        part = rows[start:start + size]
+        chunks.append(TraceColumns(*(col[start:start + size]
+                                     for col in ordered)))
         start += size
-        chunks.append(TraceColumns(*(list(col) for col in zip(*part))))
     return chunks
 
 

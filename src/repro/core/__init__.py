@@ -28,7 +28,7 @@ from .collector import (
     SECTOR_BYTES,
     VscsiStatsCollector,
 )
-from .histogram import Histogram, NUMPY_MIN_BATCH
+from .histogram import BATCH_CROSSOVER, Histogram
 from .histogram2d import TimeSeriesHistogram
 from .report import render_collector, render_histogram, render_timeseries
 from .sampler import IntervalSample, IntervalSampler
@@ -57,8 +57,8 @@ __all__ = [
     "MetricFamily",
     "SECTOR_BYTES",
     "VscsiStatsCollector",
+    "BATCH_CROSSOVER",
     "Histogram",
-    "NUMPY_MIN_BATCH",
     "TimeSeriesHistogram",
     "render_collector",
     "render_histogram",

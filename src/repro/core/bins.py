@@ -22,6 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as _np
+
 __all__ = [
     "BinScheme",
     "IO_LENGTH_BINS",
@@ -102,16 +104,12 @@ class BinScheme:
         return lut
 
     def edges_array(self):
-        """The edges as a cached numpy ``int64`` array (``None`` when
-        numpy is unavailable) — shared by the vectorized kernels."""
+        """The edges as a cached numpy ``int64`` array, shared by the
+        vectorized kernels."""
         arr = self._edges_array
         if arr is None:
-            try:
-                import numpy
-            except ImportError:  # pragma: no cover - numpy is optional
-                return None
-            arr = numpy.asarray(self.edges, dtype=numpy.int64)
-            self._edges_array = arr
+            arr = self._edges_array = _np.asarray(self.edges,
+                                                  dtype=_np.int64)
         return arr
 
     def bounds(self, index: int) -> Tuple[float, float]:

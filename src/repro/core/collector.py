@@ -21,13 +21,10 @@ ring — constant space regardless of how many commands flow by.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import repeat
 from typing import Dict, Optional, Sequence
 
-try:  # optional, used only by the vectorized batch path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
+import numpy as _np
 
 from .bins import (
     BinScheme,
@@ -39,7 +36,7 @@ from .bins import (
     SEEK_DISTANCE_BINS,
     WRITE_AMP_PCT_BINS,
 )
-from .histogram import Histogram
+from .histogram import BATCH_CROSSOVER, Histogram
 from .histogram2d import TimeSeriesHistogram
 from .window import DEFAULT_WINDOW_SIZE, LookBehindWindow
 
@@ -59,6 +56,22 @@ DEFAULT_TIME_SLOT_NS = 6_000_000_000
 #: Bytes per SCSI logical block (§3: "A logical block is a unit of
 #: space (512 bytes)").
 SECTOR_BYTES = 512
+
+
+def _plain(column):
+    """A batch column as Python scalars for the scalar hooks: an
+    ``np.int64`` folded into ``count``/``total``/``min``/``max`` would
+    wrap silently and break ``to_dict()``."""
+    return column.tolist() if isinstance(column, _np.ndarray) else column
+
+
+def _check_ignored_backend(backend: Optional[str]) -> None:
+    """Validate the vestigial ``backend=`` keyword of the two batch
+    hooks.  It selects nothing and exists only because
+    ``benchmarks/pipeline/layers.py`` — frozen under ``BENCHMARK.json``
+    — still passes ``backend="numpy"``; delete it with that call."""
+    if backend not in (None, "auto", "numpy"):
+        raise ValueError(f"unknown backend {backend!r}")
 
 
 class MetricFamily:
@@ -109,17 +122,10 @@ class MetricFamily:
             self.writes.insert(value)
 
     def insert_batch(self, read_values: Sequence[int],
-                     write_values: Sequence[int],
-                     backend: Optional[str] = None) -> None:
-        """Feed pre-partitioned value columns to the batch kernels.
-
-        ``len()`` (not truthiness) guards the empty case so numpy
-        arrays are accepted as columns.
-        """
-        if len(read_values):
-            self.reads.insert_many(read_values, backend=backend)
-        if len(write_values):
-            self.writes.insert_many(write_values, backend=backend)
+                     write_values: Sequence[int]) -> None:
+        """Feed pre-partitioned value columns to the batch kernel."""
+        self.reads.insert_many(read_values)
+        self.writes.insert_many(write_values)
 
     def reset(self) -> None:
         self.reads.reset()
@@ -316,105 +322,31 @@ class VscsiStatsCollector:
 
         Equivalent to calling :meth:`on_issue` once per command in
         column order (arrival timestamps must be non-decreasing, as
-        they are on the live path), but computes seek distances,
-        windowed minima and interarrival periods in single passes and
-        feeds the histogram batch kernels, so the per-command cost is a
-        few C-level operations instead of a dozen Python method calls.
-        ``backend`` is forwarded to :meth:`Histogram.insert_many`.
+        they are on the live path).  Runs of at least
+        :data:`~repro.core.histogram.BATCH_CROSSOVER` commands compute
+        seek distances, windowed minima and interarrival periods in
+        single vectorized passes and feed the histogram batch kernel;
+        shorter runs, where array setup costs more than it saves, loop
+        the scalar hook itself.
         """
+        _check_ignored_backend(backend)
         n = len(times_ns)
-        if not n:
-            return
         if not (len(is_read) == len(lbas) == len(nblocks)
                 == len(outstanding) == n):
             raise ValueError("on_issue_batch columns must have equal lengths")
-        if _np is not None and backend in (None, "auto") \
-                and n >= 512 and isinstance(times_ns, _np.ndarray):
-            backend = "numpy"
-        if backend == "numpy" and _np is not None:
+        if n >= BATCH_CROSSOVER:
             self._on_issue_batch_numpy(times_ns, is_read, lbas, nblocks,
                                        outstanding)
             return
-        # Normalize numpy inputs so the pure loops see Python ints.
-        if hasattr(times_ns, "tolist"):
-            times_ns = times_ns.tolist()
-        if hasattr(is_read, "tolist"):
-            is_read = is_read.tolist()
-        if hasattr(lbas, "tolist"):
-            lbas = lbas.tolist()
-        if hasattr(nblocks, "tolist"):
-            nblocks = nblocks.tolist()
-        if hasattr(outstanding, "tolist"):
-            outstanding = outstanding.tolist()
-
-        sector = SECTOR_BYTES
-        flags = is_read
-        lengths = [nb * sector for nb in nblocks]
-        ends = [lba + nb - 1 for lba, nb in zip(lbas, nblocks)]
-
-        # Seek distance (§3.1): one subtraction per adjacent pair, plus
-        # the carried-over end block of the previous batch.
-        seeks = [f - p for f, p in zip(islice(lbas, 1, None), ends)]
-        if self._last_end_block is not None:
-            seeks.insert(0, lbas[0] - self._last_end_block)
-            seek_flags = flags
-        else:
-            seek_flags = flags[1:]
-        self._last_end_block = ends[-1]
-
-        # Windowed min distance (§3.1): sorted-mirror batch query.
-        minima = self._window.observe_many(lbas, ends)
-        if minima and minima[0] is None:
-            windowed = minima[1:]
-            windowed_flags = flags[1:]
-        else:
-            windowed = minima
-            windowed_flags = flags
-
-        # Interarrival period (§3.2).
-        inter = [(b - a) // 1_000
-                 for a, b in zip(times_ns, islice(times_ns, 1, None))]
-        if self._last_arrival_ns is not None:
-            inter.insert(0, (times_ns[0] - self._last_arrival_ns) // 1_000)
-            inter_flags = flags
-        else:
-            inter_flags = flags[1:]
-        self._last_arrival_ns = times_ns[-1]
-
-        # Partition each value column by direction and feed the kernels.
-        read_lengths = [v for v, f in zip(lengths, flags) if f]
-        write_lengths = [v for v, f in zip(lengths, flags) if not f]
-        self.io_length.insert_batch(read_lengths, write_lengths, backend)
-        self.outstanding.insert_batch(
-            [v for v, f in zip(outstanding, flags) if f],
-            [v for v, f in zip(outstanding, flags) if not f], backend)
-        self.seek_distance.insert_batch(
-            [v for v, f in zip(seeks, seek_flags) if f],
-            [v for v, f in zip(seeks, seek_flags) if not f], backend)
-        self.seek_distance_windowed.insert_batch(
-            [v for v, f in zip(windowed, windowed_flags) if f],
-            [v for v, f in zip(windowed, windowed_flags) if not f], backend)
-        self.interarrival_us.insert_batch(
-            [v for v, f in zip(inter, inter_flags) if f],
-            [v for v, f in zip(inter, inter_flags) if not f], backend)
-        if self.outstanding_over_time is not None:
-            self.outstanding_over_time.insert_many(times_ns, outstanding,
-                                                   backend=backend)
-
-        # Scalar counters, one update per batch.
-        self.commands += n
-        nreads = len(read_lengths)
-        self.read_commands += nreads
-        self.write_commands += n - nreads
-        self.bytes_read += sum(read_lengths)
-        self.bytes_written += sum(write_lengths)
-        if self.first_arrival_ns is None:
-            self.first_arrival_ns = times_ns[0]
-        self.last_arrival_ns = times_ns[-1]
+        on_issue = self.on_issue
+        for row in zip(_plain(times_ns), _plain(is_read), _plain(lbas),
+                       _plain(nblocks), _plain(outstanding)):
+            on_issue(*row)
 
     def _on_issue_batch_numpy(self, times_ns, is_read, lbas, nblocks,
                               outstanding) -> None:
-        """Vectorized variant of :meth:`on_issue_batch` (same results)."""
+        """Vectorized kernel behind :meth:`on_issue_batch` — the same
+        state as an :meth:`on_issue` loop, for any ``n >= 1``."""
         t = _np.asarray(times_ns, dtype=_np.int64)
         lba_arr = _np.asarray(lbas, dtype=_np.int64)
         nb_arr = _np.asarray(nblocks, dtype=_np.int64)
@@ -461,16 +393,13 @@ class VscsiStatsCollector:
             inter_mask = mask[1:]
         self._last_arrival_ns = int(t[-1])
 
-        self.io_length.insert_batch(lengths[mask], lengths[inv], "numpy")
-        self.outstanding.insert_batch(out_arr[mask], out_arr[inv], "numpy")
-        self.seek_distance.insert_batch(seeks[seek_mask], seeks[~seek_mask],
-                                        "numpy")
-        self.seek_distance_windowed.insert_batch(read_windowed, write_windowed,
-                                                 "numpy")
-        self.interarrival_us.insert_batch(inter[inter_mask], inter[~inter_mask],
-                                          "numpy")
+        self.io_length.insert_batch(lengths[mask], lengths[inv])
+        self.outstanding.insert_batch(out_arr[mask], out_arr[inv])
+        self.seek_distance.insert_batch(seeks[seek_mask], seeks[~seek_mask])
+        self.seek_distance_windowed.insert_batch(read_windowed, write_windowed)
+        self.interarrival_us.insert_batch(inter[inter_mask], inter[~inter_mask])
         if self.outstanding_over_time is not None:
-            self.outstanding_over_time.insert_many(t, out_arr, backend="numpy")
+            self.outstanding_over_time.insert_many(t, out_arr)
 
         self.commands += n
         nreads = int(mask.sum())
@@ -485,58 +414,50 @@ class VscsiStatsCollector:
     def on_complete_batch(self, times_ns: Sequence[int],
                           is_read: Sequence[bool],
                           latencies_ns: Sequence[int],
-                          backend: Optional[str] = None,
                           wa_pct: Optional[Sequence[Optional[int]]] = None,
                           gc_pause_us: Optional[Sequence[Optional[int]]] = None,
-                          ) -> None:
+                          backend: Optional[str] = None) -> None:
         """Record a run of command completions from parallel columns.
 
         Equivalent to a scalar :meth:`on_complete` loop over the
-        columns, batched through the histogram kernels.  ``wa_pct`` and
-        ``gc_pause_us`` are optional FTL telemetry columns aligned with
-        the others; a ``None`` entry means the command carried no
-        sample (exactly the scalar hook's semantics).
+        columns — literally so below
+        :data:`~repro.core.histogram.BATCH_CROSSOVER` commands,
+        vectorized through the histogram batch kernel from there up.
+        ``wa_pct`` and ``gc_pause_us`` are optional FTL telemetry
+        columns aligned with the others; a ``None`` entry means the
+        command carried no sample (exactly the scalar hook's
+        semantics).
         """
+        _check_ignored_backend(backend)
         n = len(times_ns)
-        if not n:
-            return
-        if not (len(is_read) == len(latencies_ns) == n):
+        if not (len(is_read) == len(latencies_ns) == n
+                and (wa_pct is None or len(wa_pct) == n)
+                and (gc_pause_us is None or len(gc_pause_us) == n)):
             raise ValueError(
                 "on_complete_batch columns must have equal lengths")
-        if wa_pct is not None or gc_pause_us is not None:
-            flags = is_read.tolist() if hasattr(is_read, "tolist") else is_read
-            for column, family in ((wa_pct, self.write_amp_pct),
-                                   (gc_pause_us, self.gc_pause_us)):
-                if column is None:
-                    continue
-                if len(column) != n:
-                    raise ValueError(
-                        "on_complete_batch columns must have equal lengths")
+        if n < BATCH_CROSSOVER:
+            on_complete = self.on_complete
+            for row in zip(
+                    _plain(times_ns), _plain(is_read), _plain(latencies_ns),
+                    repeat(None) if wa_pct is None else _plain(wa_pct),
+                    repeat(None) if gc_pause_us is None
+                    else _plain(gc_pause_us)):
+                on_complete(*row)
+            return
+        t = _np.asarray(times_ns, dtype=_np.int64)
+        lat = _np.asarray(latencies_ns, dtype=_np.int64) // 1_000
+        mask = _np.asarray(is_read, dtype=bool)
+        self.latency_us.insert_batch(lat[mask], lat[~mask])
+        if self.latency_over_time is not None:
+            self.latency_over_time.insert_many(t, lat)
+        for column, family in ((wa_pct, self.write_amp_pct),
+                               (gc_pause_us, self.gc_pause_us)):
+            if column is not None:
+                flags = mask.tolist()
                 family.insert_batch(
                     [v for v, f in zip(column, flags) if f and v is not None],
                     [v for v, f in zip(column, flags)
-                     if not f and v is not None], backend)
-        if backend == "numpy" and _np is not None:
-            t = _np.asarray(times_ns, dtype=_np.int64)
-            lat = _np.asarray(latencies_ns, dtype=_np.int64) // 1_000
-            mask = _np.asarray(is_read, dtype=bool)
-            self.latency_us.insert_batch(lat[mask], lat[~mask], "numpy")
-            if self.latency_over_time is not None:
-                self.latency_over_time.insert_many(t, lat, backend="numpy")
-            return
-        if hasattr(times_ns, "tolist"):
-            times_ns = times_ns.tolist()
-        if hasattr(is_read, "tolist"):
-            is_read = is_read.tolist()
-        if hasattr(latencies_ns, "tolist"):
-            latencies_ns = latencies_ns.tolist()
-        lat_us = [v // 1_000 for v in latencies_ns]
-        self.latency_us.insert_batch(
-            [v for v, f in zip(lat_us, is_read) if f],
-            [v for v, f in zip(lat_us, is_read) if not f], backend)
-        if self.latency_over_time is not None:
-            self.latency_over_time.insert_many(times_ns, lat_us,
-                                               backend=backend)
+                     if not f and v is not None])
 
     # ------------------------------------------------------------------
     # Derived reporting

@@ -17,18 +17,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from .bins import BinScheme
 
-try:  # numpy is an optional dependency; every kernel has a pure fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
+__all__ = ["Histogram", "BATCH_CROSSOVER"]
 
-__all__ = ["Histogram", "NUMPY_MIN_BATCH"]
-
-#: Below this batch size the numpy kernel's array-conversion overhead
-#: outweighs the vectorized search, so ``backend="auto"`` stays pure.
-NUMPY_MIN_BATCH = 512
+#: The one size rule of the ingest path: a batch of fewer than this
+#: many values (here) or commands (the collector's batch hooks) loops
+#: the scalar hook; from this size up it takes the numpy kernel, whose
+#: fixed array-setup cost is repaid at about this point (measured —
+#: the table is in ``docs/internals.md``).
+BATCH_CROSSOVER = 32
 
 
 class Histogram:
@@ -77,79 +77,30 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def insert_many(self, values: Iterable[int],
-                    backend: Optional[str] = None) -> None:
+    def insert_many(self, values: Iterable[int]) -> None:
         """Record a batch of observations in one pass.
 
-        ``backend`` selects the kernel: ``"python"`` forces the pure
-        loop, ``"numpy"`` forces the vectorized
-        ``searchsorted``/``bincount`` kernel (falls back to pure when
-        numpy is missing or the values overflow int64), and ``None`` /
-        ``"auto"`` picks numpy for large batches when available.  All
-        kernels produce byte-identical state to a scalar
-        :meth:`insert` loop.
+        Batches of at least :data:`BATCH_CROSSOVER` values take the
+        vectorized ``searchsorted``/``bincount`` kernel; smaller ones,
+        and values the kernel declines (floats, ints outside int64),
+        loop :meth:`insert` — the reference, so the resulting state is
+        byte-identical to a scalar loop whichever way a batch goes.
         """
-        if not isinstance(values, (list, tuple)) and not (
-            _np is not None and isinstance(values, _np.ndarray)
-        ):
+        if not isinstance(values, (list, tuple, _np.ndarray)):
             values = list(values)
-        n = len(values)
-        if not n:
+        if len(values) >= BATCH_CROSSOVER and self._insert_many_numpy(values):
             return
-        if backend is None or backend == "auto":
-            use_numpy = _np is not None and n >= NUMPY_MIN_BATCH
-        elif backend == "numpy":
-            use_numpy = True
-        elif backend == "python":
-            use_numpy = False
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        if use_numpy and self._insert_many_numpy(values):
-            return
-        self._insert_many_python(values)
-
-    def _insert_many_python(self, values: Sequence[int]) -> None:
-        """Pure-Python batch kernel: locals-bound counting pass plus a
-        single scalar-stat update for the whole batch."""
-        if _np is not None and isinstance(values, _np.ndarray):
-            # Python-int semantics (no silent int64 wrap in sum()).
+        if isinstance(values, _np.ndarray):
+            # Python-int semantics: an np.int64 folded into ``total``
+            # would wrap silently and break ``to_dict()``.
             values = values.tolist()
-        counts = self.counts
-        delta: Optional[List[int]] = None
-        lut = self._lut
-        if lut is not None:
-            # Count into a scratch list so a stray non-int value (which
-            # cannot index the LUT) leaves no partial state behind.
-            delta = [0] * len(counts)
-            lo = self._lut_lo
-            hi = self._lut_hi
-            last = len(counts) - 1
-            try:
-                for v in values:
-                    if lo <= v <= hi:
-                        delta[lut[v - lo]] += 1
-                    elif v < lo:
-                        delta[0] += 1
-                    else:
-                        delta[last] += 1
-            except TypeError:
-                delta = None
-        if delta is None:
-            delta = [0] * len(counts)
-            edges = self.scheme.edges
-            bl = bisect_left
-            for v in values:
-                delta[bl(edges, v)] += 1
-        for i, c in enumerate(delta):
-            if c:
-                counts[i] += c
-        self._bump_scalars(len(values), sum(values), min(values), max(values))
+        insert = self.insert
+        for value in values:
+            insert(value)
 
     def _insert_many_numpy(self, values: Sequence[int]) -> bool:
         """Vectorized batch kernel; returns False when the values do not
-        fit the int64 fast path (caller then uses the pure kernel)."""
-        if _np is None:
-            return False
+        fit the int64 fast path (caller then loops :meth:`insert`)."""
         try:
             arr = _np.asarray(values)
         except (OverflowError, TypeError, ValueError):
@@ -172,19 +123,15 @@ class Histogram:
         # int64 summation is exact only while it cannot wrap.
         if n * max(abs(mn), abs(mx)) < (1 << 62):
             total = int(arr.sum())
-        else:  # pragma: no cover - extreme magnitudes
-            total = sum(values)
-        self._bump_scalars(n, total, mn, mx)
-        return True
-
-    def _bump_scalars(self, n: int, total: int, mn: int, mx: int) -> None:
-        """Fold one batch's scalar statistics into the running state."""
+        else:
+            total = sum(arr.tolist())
         self.count += n
         self.total += total
         if self.min is None or mn < self.min:
             self.min = mn
         if self.max is None or mx > self.max:
             self.max = mx
+        return True
 
     # ------------------------------------------------------------------
     # Derived statistics

@@ -64,8 +64,7 @@ class TimeSeriesHistogram:
         if slot > self._max_slot:
             self._max_slot = slot
 
-    def insert_many(self, times_ns, values,
-                    backend: Optional[str] = None) -> None:
+    def insert_many(self, times_ns, values) -> None:
         """Record a batch of ``(time, value)`` observations.
 
         Values are grouped by time slot and handed to the slot
@@ -88,7 +87,7 @@ class TimeSeriesHistogram:
             raise ValueError(f"negative time {bad}")
         hi_slot = max(slots)
         if lo_slot == hi_slot:
-            self._slot_histogram(lo_slot).insert_many(values, backend=backend)
+            self._slot_histogram(lo_slot).insert_many(values)
         else:
             grouped: Dict[int, List[int]] = {}
             for slot, value in zip(slots, values):
@@ -98,7 +97,7 @@ class TimeSeriesHistogram:
                 else:
                     bucket.append(value)
             for slot, bucket in grouped.items():
-                self._slot_histogram(slot).insert_many(bucket, backend=backend)
+                self._slot_histogram(slot).insert_many(bucket)
         if hi_slot > self._max_slot:
             self._max_slot = hi_slot
 

@@ -114,8 +114,7 @@ class HistogramService:
             gc_pause_us=gc_pause_us)
 
     def record_issue_batch(self, vm: str, vdisk: str, times_ns, is_read,
-                           lbas, nblocks, outstanding,
-                           backend: Optional[str] = None) -> None:
+                           lbas, nblocks, outstanding) -> None:
         """Observe a run of command arrivals as parallel columns.
 
         One enabled-check and one collector lookup for the whole run —
@@ -124,18 +123,17 @@ class HistogramService:
         if not (self.enabled or self._per_disk_enabled.get((vm, vdisk), False)):
             return
         self._collector_for(vm, vdisk).on_issue_batch(
-            times_ns, is_read, lbas, nblocks, outstanding, backend=backend
+            times_ns, is_read, lbas, nblocks, outstanding
         )
 
     def record_complete_batch(self, vm: str, vdisk: str, times_ns, is_read,
                               latencies_ns,
-                              backend: Optional[str] = None,
                               wa_pct=None, gc_pause_us=None) -> None:
         """Observe a run of command completions as parallel columns."""
         if not (self.enabled or self._per_disk_enabled.get((vm, vdisk), False)):
             return
         self._collector_for(vm, vdisk).on_complete_batch(
-            times_ns, is_read, latencies_ns, backend=backend,
+            times_ns, is_read, latencies_ns,
             wa_pct=wa_pct, gc_pause_us=gc_pause_us
         )
 

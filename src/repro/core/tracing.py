@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, List, Optional, TextIO
 
@@ -251,8 +250,6 @@ def read_binary(fileobj: BinaryIO) -> List[TraceRecord]:
 def replay_into_collector(
     records: Iterable[TraceRecord],
     collector: Optional[VscsiStatsCollector] = None,
-    batch: bool = False,
-    backend: Optional[str] = None,
 ) -> VscsiStatsCollector:
     """Rebuild online histograms by replaying a trace offline.
 
@@ -262,44 +259,13 @@ def replay_into_collector(
     matches what the live service would have produced for the same
     stream.
 
-    With ``batch=True`` the whole trace is ingested through the
-    columnar batch hooks instead of one event-merge loop: the
-    outstanding count at each issue is recovered directly as
-    ``i - bisect_left(sorted_completion_times, issue_time)`` (issues
-    fired so far minus completions strictly earlier — completions tie
-    *after* issues, matching the event-merge rule), and completions are
-    applied as one column since no collector state couples them to
-    issue order.  Results are identical; ``backend`` selects the
-    histogram kernel.
+    This is the scalar oracle every batched path is pinned against;
+    :func:`repro.parallel.trace_io.replay_columns` is the fast
+    columnar replay.
     """
     if collector is None:
         collector = VscsiStatsCollector()
     ordered = sorted(records, key=lambda r: (r.issue_ns, r.serial))
-    if batch:
-        if not ordered:
-            return collector
-        issue_times = [r.issue_ns for r in ordered]
-        completion_times = sorted(r.complete_ns for r in ordered)
-        outstanding = [
-            i - bisect_left(completion_times, t)
-            for i, t in enumerate(issue_times)
-        ]
-        collector.on_issue_batch(
-            issue_times,
-            [r.is_read for r in ordered],
-            [r.lba for r in ordered],
-            [r.nblocks for r in ordered],
-            outstanding,
-            backend=backend,
-        )
-        completes = sorted(ordered, key=lambda r: (r.complete_ns, r.serial))
-        collector.on_complete_batch(
-            [r.complete_ns for r in completes],
-            [r.is_read for r in completes],
-            [r.latency_ns for r in completes],
-            backend=backend,
-        )
-        return collector
     # Event-merge issues and completions in time order.
     events = []  # (time, tiebreak, kind, record) with issues before completes at a tie
     for record in ordered:

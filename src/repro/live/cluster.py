@@ -431,7 +431,6 @@ def _worker_main(index: int, config: Dict, fanin_wfd: int,
         idle_timeout=config["idle_timeout"],
         window_size=int(config["window_size"]),
         time_slot_ns=int(config["time_slot_ns"]),
-        backend=config["backend"],
         rotate_every=None,          # the coordinator drives rotation
         max_epochs=1,               # history lives at the coordinator
         start_enabled=bool(config["start_enabled"]),
@@ -548,7 +547,6 @@ class ClusterServer:
                  idle_timeout: Optional[float] = 60.0,
                  window_size: int = DEFAULT_WINDOW_SIZE,
                  time_slot_ns: int = DEFAULT_TIME_SLOT_NS,
-                 backend: Optional[str] = None,
                  rotate_every: Optional[float] = None,
                  max_epochs: Optional[int] = None,
                  start_enabled: bool = True,
@@ -579,8 +577,8 @@ class ClusterServer:
             "shards": shards, "queue_depth": queue_depth,
             "backpressure": backpressure, "idle_timeout": idle_timeout,
             "window_size": window_size, "time_slot_ns": time_slot_ns,
-            "backend": backend, "start_enabled": start_enabled,
-            "replicas": ring_replicas, "control": None,
+            "start_enabled": start_enabled, "replicas": ring_replicas,
+            "control": None,
         }
 
         self._owns_store = False

@@ -14,8 +14,8 @@ Every message in both directions is a *frame*::
   records (the exact on-disk layout of
   :data:`repro.core.tracing.BINARY_RECORD_FORMAT`, no magic).  Because
   the body *is* the columnar trace dtype, the server views it with
-  ``np.frombuffer`` and lands directly in the batch kernels — zero
-  per-record parsing.
+  ``np.frombuffer`` and lands directly in the collector's batch hooks
+  — zero per-record parsing.
 * ``CONTROL`` (0x02) — a UTF-8 JSON object ``{"op": ...}``; see
   ``docs/live.md`` for the op table.
 * ``DATA_SEQ`` (0x03) — a ``DATA`` frame prefixed with a retry
@@ -46,13 +46,14 @@ import json
 import struct
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..core.tracing import BINARY_RECORD_FORMAT, TraceRecord
-from ..parallel.trace_io import TRACE_DTYPE, TraceColumns
+import numpy as _np
 
-try:  # numpy is optional; every path has a pure fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the pure path
-    _np = None
+from ..core.tracing import BINARY_RECORD_FORMAT, TraceRecord
+from ..parallel.trace_io import (
+    TraceColumns,
+    buffer_to_columns,
+    columns_to_bytes,
+)
 
 __all__ = [
     "FRAME_CONTROL",
@@ -216,8 +217,7 @@ def unpack_data(payload) -> Tuple[str, str, memoryview]:
     never a copy — so a server that read the frame with
     :func:`read_frame_view` hands the received bytes straight to
     ``np.frombuffer``.  It compares equal to the equivalent ``bytes``
-    and everything downstream (:func:`bytes_to_columns`, the pure
-    ``struct`` path) accepts it.
+    and :func:`bytes_to_columns` accepts it.
     """
     view = memoryview(payload)
     offset = 0
@@ -297,74 +297,19 @@ def unpack_data_seq(payload) -> Tuple[str, int, str, str, memoryview]:
 # ----------------------------------------------------------------------
 # Record body <-> columns
 # ----------------------------------------------------------------------
-def bytes_to_columns(body: bytes) -> TraceColumns:
-    """View a data-frame body as trace columns (zero-copy with numpy).
+def bytes_to_columns(body) -> TraceColumns:
+    """View a data-frame body as zero-copy trace columns.
 
     Rejects bodies whose length is not a whole number of records and
     records whose completion precedes their issue (negative latency) —
-    the same corruption the trace readers reject.
+    the same corruption the trace readers reject, here as a
+    :class:`ProtocolError`.  The inverse, :func:`columns_to_bytes`, is
+    :func:`repro.parallel.trace_io.columns_to_bytes` itself.
     """
-    if len(body) % RECORD_BYTES:
-        raise ProtocolError(
-            f"data body of {len(body)} bytes is not a whole number of "
-            f"{RECORD_BYTES}-byte records"
-        )
-    if _np is not None:
-        arr = _np.frombuffer(body, dtype=TRACE_DTYPE)
-        columns = TraceColumns(
-            arr["serial"],
-            arr["issue_ns"],
-            arr["complete_ns"],
-            arr["lba"],
-            arr["nblocks"],
-            (arr["flags"] & 1).astype(bool),
-        )
-        bad = _np.nonzero(columns.complete_ns < columns.issue_ns)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ProtocolError(
-                f"record at index {i}: complete_ns "
-                f"{int(columns.complete_ns[i])} precedes issue_ns "
-                f"{int(columns.issue_ns[i])} (negative latency)"
-            )
-        return columns
-    cols = ([], [], [], [], [], [])
-    for fields in struct.iter_unpack(BINARY_RECORD_FORMAT, body):
-        for column, value in zip(cols, fields):
-            column.append(value)
-    for i, (t0, t1) in enumerate(zip(cols[1], cols[2])):
-        if t1 < t0:
-            raise ProtocolError(
-                f"record at index {i}: complete_ns {t1} precedes "
-                f"issue_ns {t0} (negative latency)"
-            )
-    return TraceColumns(cols[0], cols[1], cols[2], cols[3], cols[4],
-                        [bool(f & 1) for f in cols[5]])
-
-
-def columns_to_bytes(columns: TraceColumns) -> bytes:
-    """Pack trace columns into a data-frame body."""
-    n = len(columns)
-    if _np is not None:
-        arr = _np.zeros(n, dtype=TRACE_DTYPE)
-        arr["serial"] = _np.asarray(columns.serial, dtype=_np.uint64)
-        arr["issue_ns"] = _np.asarray(columns.issue_ns, dtype=_np.int64)
-        arr["complete_ns"] = _np.asarray(columns.complete_ns,
-                                         dtype=_np.int64)
-        arr["lba"] = _np.asarray(columns.lba, dtype=_np.int64)
-        arr["nblocks"] = _np.asarray(columns.nblocks, dtype=_np.uint32)
-        arr["flags"] = _np.asarray(columns.is_read, dtype=bool).astype(
-            _np.uint8
-        )
-        return arr.tobytes()
-    pack = _RECORD_STRUCT.pack
-    return b"".join(
-        pack(serial, issue, complete, lba, nblocks, 1 if is_read else 0)
-        for serial, issue, complete, lba, nblocks, is_read in zip(
-            columns.serial, columns.issue_ns, columns.complete_ns,
-            columns.lba, columns.nblocks, columns.is_read,
-        )
-    )
+    try:
+        return buffer_to_columns(body)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def records_to_bytes(records: Iterable[TraceRecord]) -> bytes:
@@ -385,27 +330,21 @@ def sort_columns_for_stream(columns: TraceColumns) -> TraceColumns:
     point naturally emits them that way); publishers sort once before
     chunking so any trace, however stored, replays as a valid stream.
     """
-    if _np is not None and isinstance(columns.issue_ns, _np.ndarray):
-        issue = columns.issue_ns
-        serial = columns.serial
-        # Most real streams (capture points, replayed trace files)
-        # arrive already ordered; detecting that is one vectorized
-        # pass, much cheaper than an O(n log n) lexsort plus six
-        # gather copies.
-        if len(issue) < 2 or bool(
-            _np.all(
-                (issue[:-1] < issue[1:])
-                | ((issue[:-1] == issue[1:]) & (serial[:-1] <= serial[1:]))
-            )
-        ):
-            return columns
-        order = _np.lexsort((columns.serial, columns.issue_ns))
-        return TraceColumns(*(col[order] for col in columns.columns()))
-    order = sorted(range(len(columns)),
-                   key=lambda i: (columns.issue_ns[i], columns.serial[i]))
-    return TraceColumns(*(
-        [col[i] for i in order] for col in columns.columns()
-    ))
+    issue = _np.asarray(columns.issue_ns)
+    serial = _np.asarray(columns.serial)
+    # Most real streams (capture points, replayed trace files) arrive
+    # already ordered; detecting that is one vectorized pass, much
+    # cheaper than an O(n log n) lexsort plus six gather copies.
+    if len(issue) < 2 or bool(
+        _np.all(
+            (issue[:-1] < issue[1:])
+            | ((issue[:-1] == issue[1:]) & (serial[:-1] <= serial[1:]))
+        )
+    ):
+        return columns
+    order = _np.lexsort((serial, issue))
+    return TraceColumns(*(_np.asarray(col)[order]
+                          for col in columns.columns()))
 
 
 # ----------------------------------------------------------------------

@@ -166,8 +166,8 @@ def capture_pattern(pattern, seconds: float = 2.0,
     if base_ns:
         columns = TraceColumns(
             columns.serial,
-            [t + base_ns for t in columns.issue_ns],
-            [t + base_ns for t in columns.complete_ns],
+            columns.issue_ns + base_ns,
+            columns.complete_ns + base_ns,
             columns.lba, columns.nblocks, columns.is_read,
         )
     return columns

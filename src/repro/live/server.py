@@ -158,8 +158,7 @@ class _ShardWorker(threading.Thread):
         stream = self.streams.get(key)
         if stream is None:
             stream = DiskStream(window_size=self.server.window_size,
-                                time_slot_ns=self.server.time_slot_ns,
-                                backend=self.server.backend)
+                                time_slot_ns=self.server.time_slot_ns)
             self.streams[key] = stream
         return stream
 
@@ -256,7 +255,6 @@ class LiveStatsServer:
                  idle_timeout: Optional[float] = 60.0,
                  window_size: int = DEFAULT_WINDOW_SIZE,
                  time_slot_ns: int = DEFAULT_TIME_SLOT_NS,
-                 backend: Optional[str] = None,
                  rotate_every: Optional[float] = None,
                  max_epochs: Optional[int] = None,
                  start_enabled: bool = True,
@@ -302,7 +300,6 @@ class LiveStatsServer:
         self.idle_timeout = idle_timeout
         self.window_size = window_size
         self.time_slot_ns = time_slot_ns
-        self.backend = backend
         self.rotate_every = rotate_every
 
         self._owns_store = False

@@ -2,8 +2,9 @@
 
 A :class:`DiskStream` turns an *unbounded, chunked* command stream into
 exactly the collector state that a one-shot offline replay
-(:func:`repro.core.tracing.replay_into_collector` with ``batch=True``)
-of the whole stream would produce.  Two pieces of state make that
+(:func:`repro.parallel.trace_io.replay_columns`, itself pinned to the
+scalar oracle :func:`repro.core.tracing.replay_into_collector`) of the
+whole stream would produce.  Two pieces of state make that
 exact:
 
 * **Outstanding recovery.**  Offline replay computes the in-flight
@@ -35,19 +36,14 @@ and is dropped whole, leaving prior state untouched.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from heapq import merge as _heap_merge
 from typing import List, Optional, Tuple
+
+import numpy as _np
 
 from ..core.collector import DEFAULT_TIME_SLOT_NS, VscsiStatsCollector
 from ..core.window import DEFAULT_WINDOW_SIZE
 from ..parallel.trace_io import TraceColumns
 from .protocol import ProtocolError, sort_columns_for_stream
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the pure path
-    _np = None
 
 __all__ = ["DiskStream"]
 
@@ -56,17 +52,15 @@ class DiskStream:
     """Streaming characterization state for one ``(vm, vdisk)`` pair."""
 
     __slots__ = (
-        "window_size", "time_slot_ns", "backend", "collector",
+        "window_size", "time_slot_ns", "collector",
         "records", "rejected_batches", "dropped_records",
         "_seed", "_issued", "_done_below", "_pending", "_watermark",
     )
 
     def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE,
-                 time_slot_ns: int = DEFAULT_TIME_SLOT_NS,
-                 backend: Optional[str] = None):
+                 time_slot_ns: int = DEFAULT_TIME_SLOT_NS):
         self.window_size = window_size
         self.time_slot_ns = time_slot_ns
-        self.backend = backend
         #: Live collector for the current epoch (lazily created).
         self.collector: Optional[VscsiStatsCollector] = None
         #: Lifetime records ingested (across every epoch).
@@ -112,29 +106,21 @@ class DiskStream:
                 f"serial={first[1]}) precedes the stream watermark "
                 f"(issue={self._watermark[0]}, serial={self._watermark[1]})"
             )
-        backend = self.backend
-        if _np is not None and isinstance(ordered.issue_ns, _np.ndarray):
-            outstanding, last_issue = self._outstanding_numpy(ordered)
-            if backend is None:
-                backend = "numpy"
-        else:
-            outstanding, last_issue = self._outstanding_pure(ordered)
+        outstanding, last_issue = self._outstanding(ordered)
 
+        # The collector hooks apply the one size rule themselves: a
+        # small frame loops the scalar hooks, a large one takes the
+        # numpy kernels, to the same state either way.
         collector = self._ensure_collector()
         collector.on_issue_batch(
             ordered.issue_ns, ordered.is_read, ordered.lba,
-            ordered.nblocks, outstanding, backend=backend,
+            ordered.nblocks, outstanding,
         )
         # Completion order never affects the snapshot (latency bins and
         # time slots are additive), so completions go in batch order.
-        if _np is not None and isinstance(ordered.complete_ns, _np.ndarray):
-            latencies = ordered.complete_ns - ordered.issue_ns
-        else:
-            latencies = [c - i for c, i in zip(ordered.complete_ns,
-                                               ordered.issue_ns)]
         collector.on_complete_batch(
-            ordered.complete_ns, ordered.is_read, latencies,
-            backend=backend,
+            ordered.complete_ns, ordered.is_read,
+            _np.subtract(ordered.complete_ns, ordered.issue_ns),
         )
 
         self._issued += n
@@ -142,7 +128,7 @@ class DiskStream:
         self._watermark = (last_issue, int(ordered.serial[-1]))
         return n
 
-    def _outstanding_numpy(self, ordered: TraceColumns):
+    def _outstanding(self, ordered: TraceColumns):
         issue = _np.asarray(ordered.issue_ns, dtype=_np.int64)
         complete = _np.sort(_np.asarray(ordered.complete_ns,
                                         dtype=_np.int64))
@@ -158,22 +144,6 @@ class DiskStream:
         drop = int(_np.searchsorted(candidates, last_issue, side="left"))
         self._done_below += drop
         self._pending = candidates[drop:].tolist()
-        return outstanding, last_issue
-
-    def _outstanding_pure(self, ordered: TraceColumns):
-        issue = list(ordered.issue_ns)
-        candidates = list(_heap_merge(self._pending,
-                                      sorted(ordered.complete_ns)))
-        issued = self._issued
-        done = self._done_below
-        outstanding = [
-            issued + i - done - bisect_left(candidates, t)
-            for i, t in enumerate(issue)
-        ]
-        last_issue = int(issue[-1])
-        drop = bisect_left(candidates, last_issue)
-        self._done_below += drop
-        self._pending = candidates[drop:]
         return outstanding, last_issue
 
     # ------------------------------------------------------------------

@@ -88,7 +88,7 @@ def _replay_shard(args, worker_index: Optional[int] = None,
     faults eligible to fire at all — an inline replay in the driver
     process is never crashable).
     """
-    directory, segments, window_size, time_slot_ns, backend = args
+    directory, segments, window_size, time_slot_ns = args
     out = []
     for segment in segments:
         fire("parallel.worker", worker_index=worker_index,
@@ -96,7 +96,7 @@ def _replay_shard(args, worker_index: Optional[int] = None,
         columns = read_binary_columns(Path(directory) / segment["file"])
         collector = VscsiStatsCollector(window_size=window_size,
                                         time_slot_ns=time_slot_ns)
-        replay_columns(columns, collector, backend=backend)
+        replay_columns(columns, collector)
         out.append(((segment["vm"], segment["vdisk"]), collector))
     return out
 
@@ -191,12 +191,8 @@ class ShardedReplay:
         (per-vdisk ``VSCSITR1`` segments plus ``manifest.json``).
     jobs:
         Worker process count; ``None`` uses the CPU count.  ``jobs=1``
-        replays inline with no pool at all — the baseline the
-        benchmark compares against, and the fallback for environments
-        where subprocesses are unavailable.
-    backend:
-        Histogram kernel override, forwarded to
-        :func:`repro.parallel.replay_columns`.
+        replays inline with no pool at all — the fallback for
+        environments where subprocesses are unavailable.
     mp_context:
         ``multiprocessing`` start method; ``None`` (default) picks
         :func:`pick_start_method` (``fork`` where available, else
@@ -214,7 +210,6 @@ class ShardedReplay:
     """
 
     def __init__(self, directory, jobs: Optional[int] = None,
-                 backend: Optional[str] = None,
                  window_size: int = DEFAULT_WINDOW_SIZE,
                  time_slot_ns: int = DEFAULT_TIME_SLOT_NS,
                  mp_context: Optional[str] = None,
@@ -223,7 +218,6 @@ class ShardedReplay:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        self.backend = backend
         self.window_size = window_size
         self.time_slot_ns = time_slot_ns
         self.mp_context = mp_context
@@ -242,8 +236,7 @@ class ShardedReplay:
         jobs = min(self.jobs, max(len(segments), 1))
         shards = partition_segments(segments, jobs)
         shard_args = [
-            (str(self.directory), shard, self.window_size, self.time_slot_ns,
-             self.backend)
+            (str(self.directory), shard, self.window_size, self.time_slot_ns)
             for shard in shards
         ]
         recovered: List[int] = []
@@ -351,8 +344,6 @@ class ShardedReplay:
 
 
 def replay_sharded(directory, jobs: Optional[int] = None,
-                   backend: Optional[str] = None,
                    **kwargs) -> ShardedReplayResult:
     """One-call convenience wrapper around :class:`ShardedReplay`."""
-    return ShardedReplay(directory, jobs=jobs, backend=backend,
-                         **kwargs).run()
+    return ShardedReplay(directory, jobs=jobs, **kwargs).run()

@@ -18,8 +18,10 @@ Also provided:
   :func:`repro.core.tracing.replay_into_collector`; snapshots are
   byte-identical (property-tested).
 
-Everything degrades to a pure-Python path when numpy is missing; only
-the speed changes, never a value.
+The record <-> column conversions live here once —
+:func:`buffer_to_columns` and :func:`columns_to_bytes` — and serve both
+the trace-file reader/writer below and the live wire protocol
+(:mod:`repro.live.protocol`), whose data-frame body is the same bytes.
 """
 
 from __future__ import annotations
@@ -28,24 +30,19 @@ import json
 import re
 import struct
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+
+import numpy as _np
 
 from ..core.collector import VscsiStatsCollector
-from ..core.tracing import (
-    BINARY_RECORD_FORMAT,
-    TraceRecord,
-    replay_into_collector,
-)
-
-try:  # numpy is optional; every path has a pure fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the pure path
-    _np = None
+from ..core.tracing import BINARY_RECORD_FORMAT, TraceRecord
 
 __all__ = [
     "TraceColumns",
     "TRACE_DTYPE",
     "MANIFEST_NAME",
+    "buffer_to_columns",
+    "columns_to_bytes",
     "columns_to_records",
     "load_manifest",
     "read_binary_columns",
@@ -66,27 +63,36 @@ _MANIFEST_FORMAT = "vscsi-shard-manifest-v1"
 #: Structured dtype mirroring ``<QqqqIB3x`` field for field (the three
 #: pad bytes are absorbed by ``itemsize``), so a raw trace body can be
 #: viewed as columns without copying.
-if _np is not None:
-    TRACE_DTYPE = _np.dtype(
-        {
-            "names": ["serial", "issue_ns", "complete_ns", "lba", "nblocks",
-                      "flags"],
-            "formats": ["<u8", "<i8", "<i8", "<i8", "<u4", "u1"],
-            "offsets": [0, 8, 16, 24, 32, 36],
-            "itemsize": _RECORD_STRUCT.size,
-        }
-    )
-    assert TRACE_DTYPE.itemsize == _RECORD_STRUCT.size
-else:  # pragma: no cover - numpy absent
-    TRACE_DTYPE = None
+TRACE_DTYPE = _np.dtype(
+    {
+        "names": ["serial", "issue_ns", "complete_ns", "lba", "nblocks",
+                  "flags"],
+        "formats": ["<u8", "<i8", "<i8", "<i8", "<u4", "u1"],
+        "offsets": [0, 8, 16, 24, 32, 36],
+        "itemsize": _RECORD_STRUCT.size,
+    }
+)
+assert TRACE_DTYPE.itemsize == _RECORD_STRUCT.size
+
+#: The integer fields in column order: ``(name, dtype, lowest,
+#: highest)`` — the value ranges of ``<QqqqI``.
+_INT_FIELDS = (
+    ("serial", _np.dtype("<u8"), 0, 2**64 - 1),
+    ("issue_ns", _np.dtype("<i8"), -2**63, 2**63 - 1),
+    ("complete_ns", _np.dtype("<i8"), -2**63, 2**63 - 1),
+    ("lba", _np.dtype("<i8"), -2**63, 2**63 - 1),
+    ("nblocks", _np.dtype("<u4"), 0, 2**32 - 1),
+)
 
 
 class TraceColumns:
     """A trace as six parallel columns instead of record objects.
 
-    Columns are numpy array views on the mapped file when numpy is
-    available (zero-copy) and plain lists otherwise.  ``is_read`` is
-    the decoded bit-0 of the on-disk flags byte.
+    Every producer in this package hands out numpy arrays — zero-copy
+    views when the trace was read from a file or a frame — typed
+    ``u8`` serial, ``i8`` timestamps and LBA, ``u4`` nblocks and
+    ``bool`` ``is_read`` (the decoded bit 0 of the on-disk flags
+    byte).  The class itself is a plain holder and converts nothing.
     """
 
     __slots__ = ("serial", "issue_ns", "complete_ns", "lba", "nblocks",
@@ -111,33 +117,94 @@ class TraceColumns:
 
 def _validate_latencies(issue_ns, complete_ns) -> None:
     """Reject records whose completion precedes their issue."""
-    if _np is not None and isinstance(complete_ns, _np.ndarray):
-        bad = _np.nonzero(complete_ns < issue_ns)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"record at index {i}: complete_ns {int(complete_ns[i])} "
-                f"precedes issue_ns {int(issue_ns[i])} (negative latency)"
-            )
-        return
-    for i, (t0, t1) in enumerate(zip(issue_ns, complete_ns)):
-        if t1 < t0:
-            raise ValueError(
-                f"record at index {i}: complete_ns {t1} precedes "
-                f"issue_ns {t0} (negative latency)"
-            )
+    bad = _np.nonzero(_np.asarray(complete_ns) < _np.asarray(issue_ns))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"record at index {i}: complete_ns {int(complete_ns[i])} "
+            f"precedes issue_ns {int(issue_ns[i])} (negative latency)"
+        )
+
+
+def _checked_column(values, field: str, dtype, lo: int, hi: int):
+    """``values`` as a ``dtype`` array, or :class:`ValueError` naming
+    the first entry outside ``[lo, hi]`` — a cast alone would wrap it
+    silently (or not, depending on the numpy version)."""
+    arr = _np.asarray(values)
+    if arr.dtype.kind in "iu":
+        # One vectorized comparison per bound the source dtype can
+        # actually violate (none at all when it already is ``dtype``).
+        info = _np.iinfo(arr.dtype)
+        bad = None
+        if info.min < lo:
+            bad = arr < lo
+        if info.max > hi:
+            bad = arr > hi if bad is None else bad | (arr > hi)
+        if bad is None or not bad.any():
+            return arr.astype(dtype, copy=False)
+        index = int(bad.argmax())
+    else:
+        # Python ints that do not all fit one 64-bit type are inferred
+        # as float64/object, which is lossy: check and convert from
+        # the source instead.
+        index = next((i for i, v in enumerate(values)
+                      if not lo <= v <= hi), None)
+        if index is None:
+            return _np.asarray(values, dtype=dtype)
+    raise ValueError(
+        f"record at index {index}: {field} {values[index]} is outside "
+        f"the on-disk range [{lo}, {hi}]"
+    )
 
 
 # ----------------------------------------------------------------------
-# Columnar read / write
+# Records <-> columns <-> bytes
 # ----------------------------------------------------------------------
+def buffer_to_columns(buffer) -> TraceColumns:
+    """View raw 40-byte records (no magic) as zero-copy columns.
+
+    ``buffer`` is anything exporting the buffer protocol — ``bytes``, a
+    ``memoryview`` over a received frame, a mapped file.  Raises
+    :class:`ValueError` when it is not a whole number of records or
+    holds a negative-latency record.
+    """
+    if len(buffer) % _RECORD_STRUCT.size:
+        raise ValueError(
+            f"data body of {len(buffer)} bytes is not a whole number of "
+            f"{_RECORD_STRUCT.size}-byte records"
+        )
+    arr = _np.frombuffer(buffer, dtype=TRACE_DTYPE)
+    _validate_latencies(arr["issue_ns"], arr["complete_ns"])
+    return TraceColumns(
+        arr["serial"],
+        arr["issue_ns"],
+        arr["complete_ns"],
+        arr["lba"],
+        arr["nblocks"],
+        (arr["flags"] & 1).astype(bool),
+    )
+
+
+def columns_to_bytes(columns: TraceColumns) -> bytes:
+    """Pack columns into raw 40-byte records (no magic).
+
+    Each integer column is range-checked against its on-disk field
+    (:class:`ValueError` naming field and index): one past a ceiling
+    must fail loudly, never wrap.
+    """
+    arr = _np.zeros(len(columns), dtype=TRACE_DTYPE)
+    for (field, dtype, lo, hi), values in zip(_INT_FIELDS, columns.columns()):
+        arr[field] = _checked_column(values, field, dtype, lo, hi)
+    arr["flags"] = _np.asarray(columns.is_read, dtype=bool)
+    return arr.tobytes()
+
+
 def read_binary_columns(path, mmap: bool = True) -> TraceColumns:
     """Open a binary trace file as zero-copy columns.
 
     ``mmap=True`` (default) maps the file so the OS pages records in
     on demand; ``mmap=False`` reads it into one bytes object first
-    (still no per-record unpacking).  Without numpy, falls back to a
-    single ``struct.iter_unpack`` pass into plain lists.
+    (still no per-record unpacking).
 
     Raises :class:`ValueError` on a bad magic, a truncated tail record
     or a negative-latency record — the same corruption the record
@@ -147,97 +214,45 @@ def read_binary_columns(path, mmap: bool = True) -> TraceColumns:
     size = path.stat().st_size
     if size < _MAGIC_LEN:
         raise ValueError(f"not a vSCSI binary trace: {path} too short")
-    body = size - _MAGIC_LEN
-    if body % _RECORD_STRUCT.size:
+    if (size - _MAGIC_LEN) % _RECORD_STRUCT.size:
         raise ValueError(f"truncated vSCSI binary trace: {path}")
-    if _np is None:
-        with path.open("rb") as fileobj:
-            if fileobj.read(_MAGIC_LEN) != _MAGIC:
-                raise ValueError(f"not a vSCSI binary trace: {path}")
-            raw = fileobj.read()
-        cols = ([], [], [], [], [], [])
-        for fields in struct.iter_unpack(BINARY_RECORD_FORMAT, raw):
-            for column, value in zip(cols, fields):
-                column.append(value)
-        columns = TraceColumns(cols[0], cols[1], cols[2], cols[3], cols[4],
-                               [bool(f & 1) for f in cols[5]])
-        _validate_latencies(columns.issue_ns, columns.complete_ns)
-        return columns
     with path.open("rb") as fileobj:
         if fileobj.read(_MAGIC_LEN) != _MAGIC:
             raise ValueError(f"not a vSCSI binary trace: {path}")
-    if mmap:
-        arr = _np.memmap(path, dtype=TRACE_DTYPE, mode="r",
-                         offset=_MAGIC_LEN)
-    else:
-        raw = path.read_bytes()
-        arr = _np.frombuffer(raw, dtype=TRACE_DTYPE, offset=_MAGIC_LEN)
-    columns = TraceColumns(
-        arr["serial"],
-        arr["issue_ns"],
-        arr["complete_ns"],
-        arr["lba"],
-        arr["nblocks"],
-        (arr["flags"] & 1).astype(bool),
-    )
-    _validate_latencies(columns.issue_ns, columns.complete_ns)
-    return columns
+        if mmap:
+            body = _np.memmap(fileobj, dtype=_np.uint8, mode="r",
+                              offset=_MAGIC_LEN)
+        else:
+            body = fileobj.read()
+    return buffer_to_columns(body)
 
 
 def write_binary_columns(columns: TraceColumns, path) -> int:
     """Write columns as a standard ``VSCSITR1`` trace file.
 
-    The numpy path packs the whole trace through one structured-array
-    ``tobytes``; the fallback packs record by record.  Returns the
-    number of records written.
+    Returns the number of records written; rejects what
+    :func:`read_binary_columns` would refuse to read back
+    (negative latency, out-of-range fields).
     """
-    path = Path(path)
     _validate_latencies(columns.issue_ns, columns.complete_ns)
-    n = len(columns)
-    if _np is not None:
-        arr = _np.zeros(n, dtype=TRACE_DTYPE)
-        arr["serial"] = _np.asarray(columns.serial, dtype=_np.uint64)
-        arr["issue_ns"] = _np.asarray(columns.issue_ns, dtype=_np.int64)
-        arr["complete_ns"] = _np.asarray(columns.complete_ns, dtype=_np.int64)
-        arr["lba"] = _np.asarray(columns.lba, dtype=_np.int64)
-        arr["nblocks"] = _np.asarray(columns.nblocks, dtype=_np.uint32)
-        arr["flags"] = _np.asarray(columns.is_read, dtype=bool).astype(
-            _np.uint8
-        )
-        with path.open("wb") as fileobj:
-            fileobj.write(_MAGIC)
-            fileobj.write(arr.tobytes())
-        return n
-    with path.open("wb") as fileobj:
+    body = columns_to_bytes(columns)
+    with Path(path).open("wb") as fileobj:
         fileobj.write(_MAGIC)
-        pack = _RECORD_STRUCT.pack
-        for serial, issue, complete, lba, nblocks, is_read in zip(
-            columns.serial, columns.issue_ns, columns.complete_ns,
-            columns.lba, columns.nblocks, columns.is_read,
-        ):
-            fileobj.write(
-                pack(serial, issue, complete, lba, nblocks,
-                     1 if is_read else 0)
-            )
-    return n
+        fileobj.write(body)
+    return len(columns)
 
 
 def records_to_columns(records: Iterable[TraceRecord]) -> TraceColumns:
-    """Transpose record objects into columns (lists)."""
-    serial: List[int] = []
-    issue: List[int] = []
-    complete: List[int] = []
-    lba: List[int] = []
-    nblocks: List[int] = []
-    is_read: List[bool] = []
-    for record in records:
-        serial.append(record.serial)
-        issue.append(record.issue_ns)
-        complete.append(record.complete_ns)
-        lba.append(record.lba)
-        nblocks.append(record.nblocks)
-        is_read.append(record.is_read)
-    return TraceColumns(serial, issue, complete, lba, nblocks, is_read)
+    """Transpose record objects into typed array columns (range-checked
+    like :func:`columns_to_bytes`)."""
+    rows = [(r.serial, r.issue_ns, r.complete_ns, r.lba, r.nblocks,
+             r.is_read) for r in records]
+    cols = list(zip(*rows)) if rows else [()] * 6
+    return TraceColumns(
+        *(_checked_column(values, *spec)
+          for spec, values in zip(_INT_FIELDS, cols)),
+        _np.asarray(cols[5], dtype=bool),
+    )
 
 
 def columns_to_records(columns: TraceColumns) -> List[TraceRecord]:
@@ -256,35 +271,27 @@ def columns_to_records(columns: TraceColumns) -> List[TraceRecord]:
 def replay_columns(
     columns: TraceColumns,
     collector: Optional[VscsiStatsCollector] = None,
-    backend: Optional[str] = None,
 ) -> VscsiStatsCollector:
     """Rebuild online histograms from columns — zero object churn.
 
-    Identical semantics to
-    :func:`repro.core.tracing.replay_into_collector` with
-    ``batch=True``: issues are applied in (issue time, serial) order
-    with the outstanding count recovered as *issues fired so far minus
+    The batch replay: byte-identical (property-tested) to the scalar
+    event-merge oracle :func:`repro.core.tracing.replay_into_collector`.
+    Issues are applied in (issue time, serial) order with the
+    outstanding count recovered as *issues fired so far minus
     completions strictly earlier* (completions tie after issues), and
-    completions in (completion time, serial) order.  The numpy path
-    sorts with ``lexsort`` (stable, like Python's sort) and never
-    leaves int64/bool columns, so snapshots are byte-identical to the
-    record-based replay.
+    completions in (completion time, serial) order.  Sorting is
+    ``lexsort`` (stable, like Python's sort) and nothing leaves
+    int64/bool columns on the way to the collector's batch hooks.
     """
     if collector is None:
         collector = VscsiStatsCollector()
     n = len(columns)
     if not n:
         return collector
-    if _np is None or backend == "python" or not isinstance(
-        columns.issue_ns, _np.ndarray
-    ):
-        return replay_into_collector(
-            columns_to_records(columns), collector, batch=True,
-            backend=backend,
-        )
-    serial = columns.serial
+    serial = _np.asarray(columns.serial)
     issue = _np.asarray(columns.issue_ns, dtype=_np.int64)
     complete = _np.asarray(columns.complete_ns, dtype=_np.int64)
+    is_read = _np.asarray(columns.is_read, dtype=bool)
     order = _np.lexsort((serial, issue))
     issue_sorted = issue[order]
     outstanding = _np.arange(n, dtype=_np.int64) - _np.searchsorted(
@@ -292,18 +299,16 @@ def replay_columns(
     )
     collector.on_issue_batch(
         issue_sorted,
-        columns.is_read[order],
+        is_read[order],
         _np.asarray(columns.lba, dtype=_np.int64)[order],
         _np.asarray(columns.nblocks, dtype=_np.int64)[order],
         outstanding,
-        backend="numpy" if backend is None else backend,
     )
     corder = _np.lexsort((serial, complete))
     collector.on_complete_batch(
         complete[corder],
-        columns.is_read[corder],
+        is_read[corder],
         (complete - issue)[corder],
-        backend="numpy" if backend is None else backend,
     )
     return collector
 

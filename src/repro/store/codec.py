@@ -53,8 +53,8 @@ so the per-record Python cost is one header unpack and one
 Bin counts are observation counts, so ``int64`` is exact by
 construction; a count that somehow exceeds it falls back to v1 (whose
 JSON integers are unbounded) or is rejected loudly rather than
-wrapped.  Encoding uses only ``struct`` — with or without numpy the
-bytes are identical; numpy accelerates decode and merge when present.
+wrapped.  Encoding uses only ``struct``; decode and merge are numpy
+views and reductions over the same bytes.
 
 Round-trip identity — ``collector_from_bytes(collector_to_bytes(c)) ==
 c`` and the service-level analogue — is Hypothesis-pinned in
@@ -66,6 +66,8 @@ from __future__ import annotations
 import json
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from ..core.bins import (
     BinScheme,
@@ -85,11 +87,6 @@ from ..core.collector import (
 from ..core.histogram import Histogram
 from ..core.histogram2d import TimeSeriesHistogram
 from ..core.service import HistogramService
-
-try:  # numpy is optional; struct-only decode reads the same bytes
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the pure path
-    _np = None
 
 __all__ = [
     "COLLECTOR_MAGIC",
@@ -235,7 +232,6 @@ def _slot_name(series_name: str, slot: int) -> str:
     return name
 
 _WIDTH_DTYPES = {2: "<i2", 4: "<i4", 8: "<i8"}
-_WIDTH_CHARS = {2: "h", 4: "i", 8: "q"}
 
 
 def _v2_widths(flags: int) -> Tuple[int, int, int]:
@@ -266,39 +262,27 @@ def _counts_to_bytes(counts: List[int]) -> bytes:
             raise ValueError(
                 f"bin count {value} does not fit int64; snapshot is corrupt"
             )
-    if _np is not None:
-        return _np.asarray(counts, dtype="<i8").tobytes()
-    return struct.pack(f"<{len(counts)}q", *counts)
+    return _np.asarray(counts, dtype="<i8").tobytes()
 
 
 def _words_from_buffer(data, offset: int, n: int, width: int):
     """Read ``n`` little-endian signed ``width``-byte ints at ``offset``.
 
-    With numpy this is a zero-copy ``frombuffer`` view — the decode and
-    merge hot paths consume it directly; callers that materialize a
-    :class:`Histogram` convert to Python ints (``.tolist()``) at that
-    boundary so downstream arithmetic stays exact and JSON-safe.
-    Without numpy, a tuple of Python ints.
+    A zero-copy ``frombuffer`` view — the decode and merge hot paths
+    consume it directly; callers that materialize a :class:`Histogram`
+    convert to Python ints (``.tolist()``) at that boundary so
+    downstream arithmetic stays exact and JSON-safe.
     """
     end = offset + width * n
     if end > len(data):
         raise ValueError("truncated snapshot record: counts past the end")
-    if _np is not None:
-        return _np.frombuffer(data, dtype=_WIDTH_DTYPES[width], count=n,
-                              offset=offset)
-    return struct.unpack_from(f"<{n}{_WIDTH_CHARS[width]}", data, offset)
+    return _np.frombuffer(data, dtype=_WIDTH_DTYPES[width], count=n,
+                          offset=offset)
 
 
 def _counts_from_buffer(data, offset: int, n: int):
     """Read ``n`` int64 counts at ``offset`` (the v1 payload width)."""
     return _words_from_buffer(data, offset, n, 8)
-
-
-def _to_int_list(values) -> List[int]:
-    """Materialize a counts view as an exact ``List[int]``."""
-    if _np is not None and isinstance(values, _np.ndarray):
-        return values.tolist()
-    return list(values)
 
 
 class _PayloadWriter:
@@ -336,9 +320,8 @@ def _histogram_from_header(desc: Dict, scheme: BinScheme, data,
             f"histogram has {desc['bins']} bins but scheme "
             f"{scheme.name!r} defines {scheme.num_bins}"
         )
-    hist.counts = _to_int_list(
-        _counts_from_buffer(data, payload_base + desc["off"], desc["bins"])
-    )
+    hist.counts = _counts_from_buffer(
+        data, payload_base + desc["off"], desc["bins"]).tolist()
     hist.count = desc["count"]
     hist.total = desc["total"]
     hist.min = desc["min"]
@@ -652,7 +635,7 @@ def _collector_from_bytes_v2(data) -> VscsiStatsCollector:
         family = getattr(collector, name)
         hist = family.reads if suffix == "_reads" else family.writes
         lo, hi = layout.count_slices[index]
-        hist.counts = _to_int_list(counts[lo:hi])
+        hist.counts = counts[lo:hi].tolist()
         stat_base = 4 * index
         count = int(stats[stat_base])
         hist.count = count
@@ -681,8 +664,7 @@ def _collector_from_bytes_v2(data) -> VscsiStatsCollector:
             for j in range(num_slots):
                 slot = int(keys[j])
                 hist = Histogram(scheme, name=f"{series_name}[{slot}]")
-                hist.counts = _to_int_list(slot_counts[j * bins:
-                                                       (j + 1) * bins])
+                hist.counts = slot_counts[j * bins:(j + 1) * bins].tolist()
                 hist.count = int(slot_stats[4 * j])
                 hist.total = int(slot_stats[4 * j + 1])
                 hist.min = int(slot_stats[4 * j + 2])
@@ -1054,8 +1036,6 @@ def merge_collector_payloads(payloads) -> VscsiStatsCollector:
              else memoryview(payload) for payload in payloads]
     if not views:
         raise ValueError("cannot merge an empty set of collector records")
-    if _np is None:
-        return _merge_decoded(views)
     v2_views = []
     v1_views = []
     for view in views:

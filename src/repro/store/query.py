@@ -45,13 +45,10 @@ from collections import OrderedDict
 from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as _np
+
 from ..core.service import HistogramService
 from .codec import merge_collector_payloads
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the pure path
-    _np = None
 
 __all__ = ["QueryIndex", "QueryResult", "range_query"]
 
@@ -112,17 +109,16 @@ def _merge_group(group: List):
     collectors.  Fallback: per-record decode + ``merge`` (identical
     result by the codec's merge contract).
     """
-    if _np is not None:
-        payloads = []
-        for h in group:
-            raw = getattr(h, "raw", None)
-            payload = raw() if callable(raw) else None
-            if payload is None:
-                payloads = None
-                break
-            payloads.append(payload)
-        if payloads is not None:
-            return merge_collector_payloads(payloads)
+    payloads = []
+    for h in group:
+        raw = getattr(h, "raw", None)
+        payload = raw() if callable(raw) else None
+        if payload is None:
+            payloads = None
+            break
+        payloads.append(payload)
+    if payloads is not None:
+        return merge_collector_payloads(payloads)
     merged = group[0].load()
     for h in group[1:]:
         merged = merged.merge(h.load())
@@ -224,42 +220,31 @@ class QueryIndex:
     def __init__(self, handles: Iterable):
         self.handles: List = list(handles)
         self._cover_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        self._starts = self._ends = None
-        self._vm_codes = self._vdisk_codes = None
         self._vm_index: Dict[str, int] = {}
         self._vdisk_index: Dict[str, int] = {}
-        if _np is not None and self.handles:
-            n = len(self.handles)
-            self._starts = _np.fromiter((h.start_ns for h in self.handles),
-                                        dtype=_np.int64, count=n)
-            self._ends = _np.fromiter((h.end_ns for h in self.handles),
-                                      dtype=_np.int64, count=n)
-            for attr, index in (("vm", self._vm_index),
-                                ("vdisk", self._vdisk_index)):
-                codes = _np.empty(n, dtype=_np.int32)
-                for i, h in enumerate(self.handles):
-                    value = getattr(h, attr)
-                    code = index.get(value)
-                    if code is None:
-                        code = index[value] = len(index)
-                    codes[i] = code
-                if attr == "vm":
-                    self._vm_codes = codes
-                else:
-                    self._vdisk_codes = codes
+        n = len(self.handles)
+        self._starts = _np.fromiter((h.start_ns for h in self.handles),
+                                    dtype=_np.int64, count=n)
+        self._ends = _np.fromiter((h.end_ns for h in self.handles),
+                                  dtype=_np.int64, count=n)
+        for attr, index in (("vm", self._vm_index),
+                            ("vdisk", self._vdisk_index)):
+            codes = _np.empty(n, dtype=_np.int32)
+            for i, h in enumerate(self.handles):
+                value = getattr(h, attr)
+                code = index.get(value)
+                if code is None:
+                    code = index[value] = len(index)
+                codes[i] = code
+            if attr == "vm":
+                self._vm_codes = codes
+            else:
+                self._vdisk_codes = codes
 
     # ------------------------------------------------------------------
     def _select(self, start_ns: int, end_ns: int, vm: Optional[str],
                 vdisk: Optional[str]) -> List:
-        """Fixpoint-select the cover, vectorized when numpy is around."""
-        if self._starts is None:
-            candidates = [
-                h for h in self.handles
-                if (vm is None or h.vm == vm)
-                and (vdisk is None or h.vdisk == vdisk)
-            ]
-            chosen, _qs, _qe = _closure_select(candidates, start_ns, end_ns)
-            return chosen
+        """Fixpoint-select the cover as vectorized interval masks."""
         if vm is not None:
             code = self._vm_index.get(vm)
             if code is None:

@@ -41,6 +41,7 @@ from repro.parallel import (
     ShardedReplay,
     ShardedReplayError,
     records_to_columns,
+    replay_columns,
     write_shards,
 )
 from repro.store import HistogramStore
@@ -65,8 +66,8 @@ def _records(n, seed=7, start_serial=0, start_ns=0):
 
 
 def _offline(records):
-    return replay_into_collector(records, VscsiStatsCollector(),
-                                 batch=True).to_dict()
+    """The scalar event-merge oracle over the whole stream."""
+    return replay_into_collector(records, VscsiStatsCollector()).to_dict()
 
 
 def _as_json(document):
@@ -467,7 +468,7 @@ class TestWalFaults:
 # Store seal under injected I/O errors
 # ----------------------------------------------------------------------
 def _collector_for(records):
-    return replay_into_collector(records, VscsiStatsCollector(), batch=True)
+    return replay_columns(records_to_columns(records))
 
 
 class TestStoreFaults:

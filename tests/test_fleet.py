@@ -65,8 +65,7 @@ def _records(n, seed=7, start_serial=0, start_ns=0):
 
 
 def _collector(records):
-    return replay_into_collector(records, VscsiStatsCollector(),
-                                 batch=True)
+    return replay_into_collector(records, VscsiStatsCollector())
 
 
 def _host_epochs(host, n_epochs, per_epoch=25, seed=None, vm=None):

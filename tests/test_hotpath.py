@@ -1,16 +1,23 @@
 """Property tests for the batched hot path.
 
-The batched ingestion machinery (``Histogram.insert_many`` kernels,
+The batched ingestion machinery (the ``Histogram.insert_many`` kernel,
 the bin-lookup table, ``LookBehindWindow.observe_many``, the columnar
 collector/service hooks and the vSCSI burst path) is only admissible
 because it is *exactly* equivalent to the scalar path.  These tests
 state that equivalence as properties: for arbitrary inputs and
 arbitrary batch boundaries, batched and scalar ingestion must leave
 byte-identical state behind.
+
+There are two tiers — the scalar hooks and the numpy kernels — and one
+size rule (``BATCH_CROSSOVER``) choosing between them, so every
+property drives the public hook with batch sizes on *both* sides of
+the constant, and the kernels are additionally called directly below
+it (n = 1, 2, just under), where the public hooks no longer reach.
 """
 
 import json
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +31,7 @@ from repro.core.bins import (
     BinScheme,
 )
 from repro.core.collector import VscsiStatsCollector
-from repro.core.histogram import Histogram
+from repro.core.histogram import BATCH_CROSSOVER, Histogram
 from repro.core.histogram2d import TimeSeriesHistogram
 from repro.core.service import HistogramService
 from repro.core.tracing import TraceRecord, replay_into_collector
@@ -32,20 +39,25 @@ from repro.core.window import LookBehindWindow
 from repro.hypervisor.esx import EsxServer
 from repro.scsi.request import ScsiRequest
 from repro.sim.engine import Engine
+from repro.parallel.trace_io import (
+    TraceColumns,
+    records_to_columns,
+    replay_columns,
+)
 from repro.storage.array import clariion_cx3
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    numpy = None
 
 GIB = 1024**3
 
 ALL_SCHEMES = [IO_LENGTH_BINS, SEEK_DISTANCE_BINS, LATENCY_US_BINS,
                OUTSTANDING_IO_BINS]
 
+#: Batch sizes the public hooks can no longer hand to the numpy
+#: kernels: the vectorized edge cases live here (one row has no
+#: adjacent pair; two rows have exactly one).
+BELOW_CROSSOVER = [1, 2, BATCH_CROSSOVER - 1]
+
 # Values beyond int64 range included deliberately: the numpy kernel
-# must detect them and fall back to the exact pure path.
+# must detect them and decline, leaving the exact scalar loop.
 wild_values = st.integers(min_value=-(10**25), max_value=10**25)
 sane_values = st.integers(min_value=-(10**12), max_value=10**12)
 
@@ -64,15 +76,33 @@ class TestInsertManyKernels:
     @given(data=st.lists(wild_values, max_size=300))
     @settings(max_examples=50, deadline=None)
     def test_backends_match_scalar_insert(self, scheme, data):
+        # Lists of up to 300 values land on both sides of the size
+        # rule; the kernel is then forced on the same data whatever
+        # its length (it may decline — then nothing was touched).
         scalar = Histogram(scheme)
-        pure = Histogram(scheme)
-        vec = Histogram(scheme)
+        batched = Histogram(scheme)
+        kernel = Histogram(scheme)
         for value in data:
             scalar.insert(value)
-        pure.insert_many(data, backend="python")
-        vec.insert_many(data, backend="numpy")
-        assert canon(pure.to_dict()) == canon(scalar.to_dict())
-        assert canon(vec.to_dict()) == canon(scalar.to_dict())
+        batched.insert_many(data)
+        assert canon(batched.to_dict()) == canon(scalar.to_dict())
+        if data and kernel._insert_many_numpy(data):
+            assert canon(kernel.to_dict()) == canon(scalar.to_dict())
+        else:
+            assert kernel == Histogram(scheme)
+
+    @pytest.mark.parametrize("n", BELOW_CROSSOVER)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_kernel_matches_scalar_insert_below_the_crossover(self, n, data):
+        values = data.draw(st.lists(sane_values, min_size=n, max_size=n))
+        scalar = Histogram(SEEK_DISTANCE_BINS)
+        kernel = Histogram(SEEK_DISTANCE_BINS)
+        for _ in range(2):  # the second pass folds into running state
+            for value in values:
+                scalar.insert(value)
+            assert kernel._insert_many_numpy(values)
+        assert canon(kernel.to_dict()) == canon(scalar.to_dict())
 
     @given(data=st.lists(sane_values, max_size=200),
            cuts=st.lists(st.integers(min_value=0, max_value=200),
@@ -81,11 +111,12 @@ class TestInsertManyKernels:
     def test_chunked_insertion_is_associative(self, data, cuts):
         whole = Histogram(SEEK_DISTANCE_BINS)
         chunked = Histogram(SEEK_DISTANCE_BINS)
-        whole.insert_many(data, backend="python")
+        for value in data:
+            whole.insert(value)
         bounds = sorted({c for c in cuts if c < len(data)})
         start = 0
         for cut in bounds + [len(data)]:
-            chunked.insert_many(data[start:cut], backend="auto")
+            chunked.insert_many(data[start:cut])
             start = cut
         assert canon(chunked.to_dict()) == canon(whole.to_dict())
 
@@ -112,29 +143,42 @@ class TestInsertManyKernels:
 
     def test_lut_rejects_floats_exactly(self):
         # Floats cannot index the LUT; both paths must fall back to
-        # bisect semantics, scalar and batched alike.
-        a = Histogram(OUTSTANDING_IO_BINS)
-        b = Histogram(OUTSTANDING_IO_BINS)
-        data = [1, 2.5, 64, 3.0, -1.5, 100]
-        for value in data:
-            a.insert(value)
-        b.insert_many(data, backend="python")
-        assert a.counts == b.counts
-        assert a.count == b.count
-        assert a.total == b.total
+        # bisect semantics, scalar and batched alike — below the
+        # crossover and above it, where the kernel must decline.
+        for repeat in (1, BATCH_CROSSOVER):
+            a = Histogram(OUTSTANDING_IO_BINS)
+            b = Histogram(OUTSTANDING_IO_BINS)
+            data = [1, 2.5, 64, 3.0, -1.5, 100] * repeat
+            for value in data:
+                a.insert(value)
+            b.insert_many(data)
+            assert a.counts == b.counts
+            assert a.count == b.count
+            assert a.total == b.total
 
-    @pytest.mark.skipif(numpy is None, reason="numpy not installed")
     def test_numpy_array_input_matches_list_input(self):
-        data = list(range(-100, 4000, 7))
-        from_list = Histogram(IO_LENGTH_BINS)
-        from_array = Histogram(IO_LENGTH_BINS)
-        from_list.insert_many(data, backend="python")
-        from_array.insert_many(numpy.asarray(data), backend="numpy")
-        assert canon(from_array.to_dict()) == canon(from_list.to_dict())
+        # A long batch takes the kernel, a short one the scalar loop
+        # over ``.tolist()``: either way the state holds Python ints,
+        # never an np.int64 that would wrap or break JSON.
+        for step in (7, 997):
+            data = list(range(-100, 4000, step))
+            assert (len(data) >= BATCH_CROSSOVER) == (step == 7)
+            from_list = Histogram(IO_LENGTH_BINS)
+            from_array = Histogram(IO_LENGTH_BINS)
+            from_list.insert_many(data)
+            from_array.insert_many(numpy.asarray(data))
+            assert canon(from_array.to_dict()) == canon(from_list.to_dict())
+            assert type(from_array.total) is int
+            assert type(from_array.max) is int
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(IO_LENGTH_BINS).insert_many([1], backend="fortran")
+    def test_kernel_total_is_exact_where_int64_would_wrap(self):
+        data = [2**61] * BATCH_CROSSOVER
+        scalar = Histogram(SEEK_DISTANCE_BINS)
+        for value in data:
+            scalar.insert(value)
+        batched = Histogram(SEEK_DISTANCE_BINS)
+        batched.insert_many(numpy.asarray(data))
+        assert batched.total == scalar.total == BATCH_CROSSOVER * 2**61
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +219,17 @@ class TestObserveMany:
 # ----------------------------------------------------------------------
 # Collector batch hooks
 # ----------------------------------------------------------------------
-issue_rows = st.lists(
+def straddling(element, longest):
+    """Lists of ``element`` drawn on both sides of the size rule: half
+    the draws stay below ``BATCH_CROSSOVER`` (scalar tier), half reach
+    it (numpy tier)."""
+    return st.one_of(
+        st.lists(element, max_size=BATCH_CROSSOVER - 1),
+        st.lists(element, min_size=BATCH_CROSSOVER, max_size=longest),
+    )
+
+
+issue_rows = straddling(
     st.tuples(
         st.integers(min_value=0, max_value=2_000_000),   # arrival gap ns
         st.booleans(),                                   # is_read
@@ -183,7 +237,7 @@ issue_rows = st.lists(
         st.integers(min_value=1, max_value=2048),        # nblocks
         st.integers(min_value=0, max_value=100),         # outstanding
     ),
-    max_size=120,
+    longest=4 * BATCH_CROSSOVER,
 )
 
 
@@ -197,43 +251,110 @@ def absolute_rows(rows):
     return out
 
 
+def as_columns(chunk_rows, width, kind):
+    """Transpose rows into ``width`` columns — plain lists, or the
+    ndarrays the live path feeds the same hooks."""
+    cols = [list(col) for col in zip(*chunk_rows)]
+    if not cols:
+        cols = [[] for _ in range(width)]
+    if kind == "numpy":
+        cols = [numpy.asarray(col) for col in cols]
+    return cols
+
+
 class TestCollectorBatchHooks:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("columns", ["list", "numpy"])
     @given(rows=issue_rows,
-           cuts=st.lists(st.integers(min_value=0, max_value=120),
+           cuts=st.lists(st.integers(min_value=0,
+                                     max_value=4 * BATCH_CROSSOVER),
                          max_size=6))
     @settings(max_examples=40, deadline=None)
-    def test_issue_batch_matches_scalar_loop(self, backend, rows, cuts):
+    def test_issue_batch_matches_scalar_loop(self, columns, rows, cuts):
         rows = absolute_rows(rows)
         scalar = VscsiStatsCollector()
         batched = VscsiStatsCollector()
         for row in rows:
             scalar.on_issue(*row)
-        cols = list(zip(*rows)) if rows else [[], [], [], [], []]
         bounds = sorted({c for c in cuts if c < len(rows)})
         start = 0
         for cut in bounds + [len(rows)]:
-            batched.on_issue_batch(*[list(col[start:cut]) for col in cols],
-                                   backend=backend)
+            batched.on_issue_batch(*as_columns(rows[start:cut], 5, columns))
             start = cut
         assert canon(batched.to_dict()) == canon(scalar.to_dict())
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    @given(rows=st.lists(
+    @pytest.mark.parametrize("n", BELOW_CROSSOVER)
+    @given(rows=issue_rows)
+    @settings(max_examples=20, deadline=None)
+    def test_issue_kernel_matches_scalar_loop_below_the_crossover(self, n,
+                                                                  rows):
+        # Fixed chunks of n rows straight into the vectorized kernel:
+        # the first chunk meets empty coupling state, every later one
+        # the carried end block / arrival / ring of its predecessor.
+        rows = absolute_rows(rows)
+        scalar = VscsiStatsCollector()
+        kernel = VscsiStatsCollector()
+        for start in range(0, len(rows), n):
+            chunk = rows[start:start + n]
+            for row in chunk:
+                scalar.on_issue(*row)
+            kernel._on_issue_batch_numpy(*as_columns(chunk, 5, "list"))
+            assert kernel._last_end_block == scalar._last_end_block
+            assert kernel._last_arrival_ns == scalar._last_arrival_ns
+        assert canon(kernel.to_dict()) == canon(scalar.to_dict())
+
+    @pytest.mark.parametrize("columns", ["list", "numpy"])
+    @given(rows=straddling(
         st.tuples(st.integers(min_value=0, max_value=10**12),
                   st.booleans(),
                   st.integers(min_value=0, max_value=10**11)),
-        max_size=100))
+        longest=3 * BATCH_CROSSOVER))
     @settings(max_examples=40, deadline=None)
-    def test_complete_batch_matches_scalar_loop(self, backend, rows):
+    def test_complete_batch_matches_scalar_loop(self, columns, rows):
         scalar = VscsiStatsCollector()
         batched = VscsiStatsCollector()
         for time_ns, is_read, latency_ns in rows:
             scalar.on_complete(time_ns, is_read, latency_ns)
-        cols = list(zip(*rows)) if rows else [[], [], []]
-        batched.on_complete_batch(*[list(col) for col in cols],
-                                  backend=backend)
+        batched.on_complete_batch(*as_columns(rows, 3, columns))
         assert canon(batched.to_dict()) == canon(scalar.to_dict())
+
+    @given(rows=straddling(
+        st.tuples(st.integers(min_value=0, max_value=10**12),
+                  st.booleans(),
+                  st.integers(min_value=0, max_value=10**11),
+                  st.none() | st.integers(min_value=100, max_value=900),
+                  st.none() | st.integers(min_value=0, max_value=10**6)),
+        longest=2 * BATCH_CROSSOVER))
+    @settings(max_examples=30, deadline=None)
+    def test_complete_batch_ftl_columns_match_scalar_loop(self, rows):
+        scalar = VscsiStatsCollector()
+        batched = VscsiStatsCollector()
+        for row in rows:
+            scalar.on_complete(*row)
+        times, flags, lats, wa, gc = as_columns(rows, 5, "list")
+        batched.on_complete_batch(times, flags, lats, wa_pct=wa,
+                                  gc_pause_us=gc)
+        assert canon(batched.to_dict()) == canon(scalar.to_dict())
+
+    def test_vestigial_backend_keyword_selects_nothing(self):
+        # Accepted (and ignored) only for benchmarks/pipeline/layers.py.
+        rows = absolute_rows([(1000, i % 2 == 0, 64 * i, 8, i % 4)
+                              for i in range(BATCH_CROSSOVER)])
+        cols = as_columns(rows, 5, "list")
+        latencies = [500] * len(rows)
+        plain = VscsiStatsCollector()
+        plain.on_issue_batch(*cols)
+        plain.on_complete_batch(cols[0], cols[1], latencies)
+        for backend in (None, "auto", "numpy"):
+            same = VscsiStatsCollector()
+            same.on_issue_batch(*cols, backend=backend)
+            same.on_complete_batch(cols[0], cols[1], latencies,
+                                   backend=backend)
+            assert same == plain
+        with pytest.raises(ValueError):
+            plain.on_issue_batch(*cols, backend="python")
+        with pytest.raises(ValueError):
+            plain.on_complete_batch(cols[0], cols[1], latencies,
+                                    backend="python")
 
     @given(rows=issue_rows)
     @settings(max_examples=30, deadline=None)
@@ -246,9 +367,7 @@ class TestCollectorBatchHooks:
         half = len(rows) // 2
         for row in rows[:half]:
             mixed.on_issue(*row)
-        tail = rows[half:]
-        cols = list(zip(*tail)) if tail else [[], [], [], [], []]
-        mixed.on_issue_batch(*[list(col) for col in cols])
+        mixed.on_issue_batch(*as_columns(rows[half:], 5, "list"))
         assert canon(mixed.to_dict()) == canon(scalar.to_dict())
 
     def test_batch_rejects_ragged_columns(self):
@@ -272,28 +391,31 @@ class TestCollectorBatchHooks:
 # ----------------------------------------------------------------------
 # Offline replay and service hooks
 # ----------------------------------------------------------------------
-trace_records = st.lists(
+trace_records = straddling(
     st.tuples(st.integers(min_value=0, max_value=10**9),     # issue_ns
               st.integers(min_value=1, max_value=10**8),     # latency_ns
               st.integers(min_value=0, max_value=1 << 30),   # lba
               st.integers(min_value=1, max_value=1024),      # nblocks
               st.booleans()),
-    max_size=80,
+    longest=3 * BATCH_CROSSOVER,
 )
 
 
 class TestBatchedReplay:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("columns", ["list", "numpy"])
     @given(raw=trace_records)
     @settings(max_examples=40, deadline=None)
-    def test_batched_replay_matches_event_merge(self, backend, raw):
+    def test_batched_replay_matches_event_merge(self, columns, raw):
         records = [
             TraceRecord(serial=i, issue_ns=issue, complete_ns=issue + lat,
                         lba=lba, nblocks=nb, is_read=is_read)
             for i, (issue, lat, lba, nb, is_read) in enumerate(raw)
         ]
         scalar = replay_into_collector(records)
-        batched = replay_into_collector(records, batch=True, backend=backend)
+        cols = records_to_columns(records)
+        if columns == "list":  # a hand-built holder of plain lists
+            cols = TraceColumns(*(col.tolist() for col in cols.columns()))
+        batched = replay_columns(cols)
         assert canon(batched.to_dict()) == canon(scalar.to_dict())
 
     def test_service_batch_hooks_noop_when_disabled(self):

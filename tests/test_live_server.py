@@ -24,7 +24,7 @@ from repro.live.protocol import (
     read_frame,
     records_to_bytes,
 )
-from repro.parallel.trace_io import records_to_columns
+from repro.parallel.trace_io import records_to_columns, replay_columns
 
 
 def _records(n, seed=7, start_serial=0, start_ns=0):
@@ -77,8 +77,7 @@ class TestEndToEnd:
         assert client.info()["epochs_sealed"] == 3
 
         snap = client.snapshot(scope="all")
-        offline = replay_into_collector(records, VscsiStatsCollector(),
-                                        batch=True)
+        offline = replay_into_collector(records, VscsiStatsCollector())
         assert snap["disks"]["vm0/d0"] == offline.to_dict()
 
     def test_unsealed_epoch_included_in_scope_all(self, server, client):
@@ -87,8 +86,7 @@ class TestEndToEnd:
         client.rotate()
         client.publish_records("vm0", "d0", records[500:])
         snap = client.snapshot(scope="all")
-        offline = replay_into_collector(records, VscsiStatsCollector(),
-                                        batch=True)
+        offline = replay_columns(records_to_columns(records))
         assert snap["disks"]["vm0/d0"] == offline.to_dict()
         current = client.snapshot(scope="current")
         assert current["disks"]["vm0/d0"]["commands"] == 300
@@ -293,8 +291,7 @@ class TestRobustness:
             cli.publish_records("vm0", "d0", records, frame_records=100)
         srv.close()  # drain=True: the unsealed epoch must survive
         snap = srv.snapshot_dict(scope="all")
-        offline = replay_into_collector(records, VscsiStatsCollector(),
-                                        batch=True)
+        offline = replay_columns(records_to_columns(records))
         assert snap["disks"]["vm0/d0"] == offline.to_dict()
         assert len(srv.ledger) == 1
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.collector import VscsiStatsCollector
+from repro.core.histogram import BATCH_CROSSOVER
 from repro.core.tracing import TraceRecord, replay_into_collector
 from repro.live.epochs import EpochLedger
 from repro.live.protocol import (
@@ -23,15 +24,17 @@ from repro.live.protocol import (
     records_to_bytes,
 )
 from repro.live.stream import DiskStream
-from repro.parallel.trace_io import records_to_columns
+from repro.parallel.trace_io import records_to_columns, replay_columns
 
 
 def _snapshot(collector):
     return json.dumps(collector.to_dict(), sort_keys=True)
 
 
-def _columns(records, numpy=True):
-    if numpy:
+def _columns(records, wire=True):
+    """Columns as the daemon sees them (read-only views over a frame
+    body) or as a publisher builds them (typed arrays)."""
+    if wire:
         return bytes_to_columns(records_to_bytes(records))
     return records_to_columns(records)
 
@@ -88,8 +91,8 @@ class TestEpochPartitionProperty:
             ledger.seal([(("vm", "d"), sealed)] if sealed else [])
 
         merged = ledger.merged().collector("vm", "d")
-        offline = replay_into_collector(records, VscsiStatsCollector(),
-                                        batch=True)
+        # The scalar event-merge oracle, not the batch replay.
+        offline = replay_into_collector(records, VscsiStatsCollector())
         assert merged is not None
         assert _snapshot(merged) == _snapshot(offline)
         assert ledger.records == n
@@ -97,11 +100,16 @@ class TestEpochPartitionProperty:
     @settings(max_examples=15, deadline=None)
     @given(raw=record_lists)
     def test_pure_python_path_matches_numpy_path(self, raw):
+        """Frames below ``BATCH_CROSSOVER`` loop the scalar hooks, one
+        at or above it takes the numpy kernels — to the same state."""
+        raw = raw * -(-BATCH_CROSSOVER // len(raw))  # reach the kernel
         records = _make_records(raw)
         via_numpy = DiskStream()
-        via_numpy.ingest(_columns(records, numpy=True))
-        pure = DiskStream(backend="python")
-        pure.ingest(_columns(records, numpy=False))
+        via_numpy.ingest(_columns(records))
+        pure = DiskStream()
+        small = BATCH_CROSSOVER - 1
+        for lo in range(0, len(records), small):
+            pure.ingest(_columns(records[lo:lo + small], wire=False))
         assert _snapshot(via_numpy.seal()) == _snapshot(pure.seal())
 
 
@@ -185,8 +193,7 @@ class TestEpochLedger:
         assert ledger.retired_records == 30
         assert ledger.records == 90
         merged = ledger.merged().collector("vm", "d")
-        offline = replay_into_collector(records, VscsiStatsCollector(),
-                                        batch=True)
+        offline = replay_columns(records_to_columns(records))
         assert _snapshot(merged) == _snapshot(offline)
 
     def test_merged_is_fresh_and_does_not_leak_ledger_state(self):

@@ -26,6 +26,7 @@ from repro.analysis.online import (
     match_personality,
 )
 from repro.core.collector import VscsiStatsCollector
+from repro.core.histogram import BATCH_CROSSOVER
 from repro.core.service import HistogramService
 from repro.core.tracing import TraceRecord, replay_into_collector
 from repro.faults import FaultPlan, inject
@@ -33,7 +34,7 @@ from repro.live import LiveStatsClient, LiveStatsServer, render_openmetrics
 from repro.live.epochs import Epoch, EpochLedger
 from repro.live.protocol import bytes_to_columns, records_to_bytes
 from repro.live.stream import DiskStream
-from repro.parallel.trace_io import records_to_columns
+from repro.parallel.trace_io import records_to_columns, replay_columns
 from repro.store import HistogramStore
 from repro.store.codec import collector_from_bytes, collector_to_bytes
 
@@ -606,11 +607,10 @@ def _verdict_dicts(analyzer, epoch_collectors):
     return out
 
 
-def _epochs_via_stream(records, bounds, frame_records, backend=None):
+def _epochs_via_stream(records, bounds, frame_records, columns=None):
     """Seal one collector per epoch through the live ingest path."""
-    stream = DiskStream() if backend is None else DiskStream(backend=backend)
-    columns = (_columns if backend is None
-               else records_to_columns)
+    stream = DiskStream()
+    columns = columns or _columns
     epochs = []
     for start, stop in zip(bounds, bounds[1:]):
         for lo in range(start, stop, frame_records):
@@ -628,11 +628,12 @@ class TestPartitionInvariance:
     @given(raw=record_lists, data=st.data())
     def test_live_verdicts_equal_one_shot_replay_verdicts(self, raw, data):
         """Acceptance: for any epoch split and any frame chunking, the
-        online verdict sequence equals the sequence from a one-shot
-        offline fold over the same epochs (the pure-python replay path,
-        sealed at the same cut points — epoch collectors keep their
-        inter-epoch stream coupling, so the offline fold must be
-        continuous, not per-slice)."""
+        online verdict sequence equals the sequence from an offline
+        fold over the same epochs (the other ingest tier — frames kept
+        below ``BATCH_CROSSOVER`` loop the scalar hooks — sealed at the
+        same cut points: epoch collectors keep their inter-epoch stream
+        coupling, so the offline fold must be continuous, not
+        per-slice)."""
         records = _make_records(raw)
         n = len(records)
         n_epochs = data.draw(st.integers(1, min(4, n)), label="n_epochs")
@@ -650,7 +651,8 @@ class TestPartitionInvariance:
             _epochs_via_stream(records, bounds, frame_records))
         offline = _verdict_dicts(
             OnlineAnalyzer(config),
-            _epochs_via_stream(records, bounds, n, backend="python"))
+            _epochs_via_stream(records, bounds, BATCH_CROSSOVER - 1,
+                               columns=records_to_columns))
         assert live == offline
 
     @settings(max_examples=15, deadline=None)
@@ -666,8 +668,7 @@ class TestPartitionInvariance:
             _epochs_via_stream(records, [0, len(records)], len(records)))
         offline = _verdict_dicts(
             OnlineAnalyzer(config),
-            [replay_into_collector(records, VscsiStatsCollector(),
-                                   batch=True)])
+            [replay_into_collector(records, VscsiStatsCollector())])
         assert live == offline
 
     @settings(max_examples=25, deadline=None)
@@ -697,8 +698,7 @@ class TestPartitionInvariance:
         """The store/fleet path ships collectors as RPHCOL2 bytes; the
         decode must not perturb a single verdict field."""
         records = _make_records(raw)
-        collector = replay_into_collector(records, VscsiStatsCollector(),
-                                          batch=True)
+        collector = replay_columns(records_to_columns(records))
         config = DriftConfig(min_commands=1, hysteresis_k=1)
         direct = _verdict_dicts(OnlineAnalyzer(config), [collector])
         decoded = _verdict_dicts(

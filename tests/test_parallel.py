@@ -9,6 +9,7 @@ partitions, covering the empty-shard and single-command-stream edges.
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from repro.core.tracing import (
     replay_into_collector,
     write_binary,
 )
+from repro.live.protocol import columns_to_bytes
 from repro.parallel import (
     ShardedReplay,
     TraceColumns,
@@ -35,11 +37,7 @@ from repro.parallel import (
     write_binary_columns,
     write_shards,
 )
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is optional
-    np = None
+from repro.parallel.trace_io import buffer_to_columns
 
 
 def stream(n, seed, start_serial=0):
@@ -115,17 +113,13 @@ class TestColumnarIO:
         expected = replay_serial(records).to_dict()
         assert replay_columns(records_to_columns(records)).to_dict() == \
             expected
-        if np is not None:
-            columns = records_to_columns(records)
-            numeric = TraceColumns(
-                np.array(columns.serial, dtype=np.uint64),
-                np.array(columns.issue_ns, dtype=np.int64),
-                np.array(columns.complete_ns, dtype=np.int64),
-                np.array(columns.lba, dtype=np.int64),
-                np.array(columns.nblocks, dtype=np.uint32),
-                np.array(columns.is_read, dtype=bool),
-            )
-            assert replay_columns(numeric).to_dict() == expected
+        # The class is a plain holder: hand-built list columns replay
+        # to the same state as the typed arrays every producer makes.
+        columns = records_to_columns(records)
+        assert columns.serial.dtype == np.uint64
+        assert columns.nblocks.dtype == np.uint32
+        plain = TraceColumns(*(col.tolist() for col in columns.columns()))
+        assert replay_columns(plain).to_dict() == expected
 
     def test_replay_columns_empty(self):
         collector = replay_columns(records_to_columns([]))
@@ -309,6 +303,61 @@ class TestColumnarEdgeValues:
         # Cross-check against the record-based reader.
         with path.open("rb") as fileobj:
             assert read_binary(fileobj) == records
+
+    #: One valid row; each case below overrides one field of a second.
+    ROW = {"serial": 7, "issue_ns": 1000, "complete_ns": 2000, "lba": 64,
+           "nblocks": 8, "is_read": True}
+
+    def columns_with(self, field, value, dtype):
+        """Two-row columns whose second row has ``field = value``:
+        plain lists (``dtype`` None) or, for the edited column, an
+        ndarray of ``dtype`` — wide enough to hold the bad value, which
+        is exactly when an array-to-array cast would wrap it."""
+        cols = {name: [v, value if name == field else v]
+                for name, v in self.ROW.items()}
+        if dtype is not None:
+            cols[field] = np.array(cols[field], dtype=dtype)
+        return TraceColumns(*cols.values())
+
+    @pytest.mark.parametrize("field,value,dtype", [
+        ("serial", 2**64 - 1, None), ("serial", 2**64 - 1, np.uint64),
+        ("complete_ns", 2**63 - 1, None), ("complete_ns", 2**63 - 1, np.int64),
+        ("lba", 2**63 - 1, None), ("lba", -2**63, np.int64),
+        ("nblocks", 2**32 - 1, None), ("nblocks", 2**32 - 1, np.int64),
+    ])
+    def test_ceilings_roundtrip_from_columns(self, tmp_path, field, value,
+                                             dtype):
+        columns = self.columns_with(field, value, dtype)
+        expected = TraceRecord(**{**self.ROW, field: value})
+        assert columns_to_records(
+            buffer_to_columns(columns_to_bytes(columns)))[1] == expected
+        path = tmp_path / "edge.vscsitrace"
+        write_binary_columns(columns, path)
+        assert columns_to_records(read_binary_columns(path))[1] == expected
+
+    @pytest.mark.parametrize("field,value,dtype", [
+        ("serial", 2**64, None), ("serial", -1, None),
+        ("serial", -1, np.int64),
+        ("issue_ns", -2**63 - 1, None),
+        ("complete_ns", 2**63, None), ("complete_ns", 2**63, np.uint64),
+        ("lba", 2**63, None), ("lba", 2**63, np.uint64),
+        ("nblocks", 2**32, None), ("nblocks", -1, None),
+        ("nblocks", 2**32 + 8, np.int64), ("nblocks", -1, np.int64),
+    ])
+    def test_one_past_a_ceiling_fails_loudly(self, tmp_path, field, value,
+                                             dtype):
+        """Never wrap: ``nblocks = 2**32 + 8`` must not go out as 8."""
+        columns = self.columns_with(field, value, dtype)
+        message = rf"index 1: {field} {value} "
+        with pytest.raises(ValueError, match=message):
+            columns_to_bytes(columns)
+        path = tmp_path / "bad.vscsitrace"
+        with pytest.raises(ValueError, match=message):
+            write_binary_columns(columns, path)
+        assert not path.exists()
+        if dtype is None:  # the record transposer builds typed arrays
+            with pytest.raises(ValueError, match=message):
+                records_to_columns(columns_to_records(columns))
 
     def test_negative_latency_rejected_on_read(self, tmp_path):
         import struct
