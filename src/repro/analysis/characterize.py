@@ -11,12 +11,13 @@ simultaneously".  This module turns those readings into functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from ..core.collector import VscsiStatsCollector
 from ..core.histogram import Histogram
 
 __all__ = [
+    "Reading",
     "sequential_fraction",
     "random_fraction",
     "reverse_fraction",
@@ -35,6 +36,8 @@ _SEQUENTIAL_LOW, _SEQUENTIAL_HIGH = 0, 2
 #: |distance| > 50 000 sectors — the spikes at the edges of the
 #: paper's seek graphs that mark a random workload.
 _RANDOM_THRESHOLD = 50_000
+#: "Small" I/O for classification purposes: <= 16 KB.
+_SMALL_IO_BYTES = 16 * 1024
 
 
 def sequential_fraction(seek: Histogram) -> float:
@@ -47,11 +50,9 @@ def random_fraction(seek: Histogram) -> float:
     if not seek.count:
         return 0.0
     edge = 0
-    for index, count in enumerate(seek.counts):
-        if not count:
-            continue
-        low, high = seek.scheme.bounds(index)
-        if high <= -_RANDOM_THRESHOLD or low >= _RANDOM_THRESHOLD:
+    for count, (low, high) in zip(seek.counts, seek.scheme.bounds_table()):
+        if count and (high <= -_RANDOM_THRESHOLD
+                      or low >= _RANDOM_THRESHOLD):
             edge += count
     return edge / seek.count
 
@@ -62,11 +63,8 @@ def reverse_fraction(seek: Histogram) -> float:
     if not seek.count:
         return 0.0
     negative = 0
-    for index, count in enumerate(seek.counts):
-        if not count:
-            continue
-        _low, high = seek.scheme.bounds(index)
-        if high <= 0:
+    for count, (_low, high) in zip(seek.counts, seek.scheme.bounds_table()):
+        if count and high <= 0:
             negative += count
     return negative / seek.count
 
@@ -92,7 +90,70 @@ def is_seekless(collector: VscsiStatsCollector) -> bool:
     )
 
 
-def interleaved_stream_signal(collector: VscsiStatsCollector) -> float:
+#: Families whose ``all`` view a :class:`Reading` holds.
+_READING_FAMILIES = ("io_length", "seek_distance", "seek_distance_windowed",
+                     "outstanding", "latency_us")
+
+
+class Reading:
+    """One collector read once: the merged ``all`` views the analysis
+    functions look at and the scalar features they derive from them.
+
+    ``MetricFamily.all`` builds a fresh merged histogram on every
+    access and each feature below is a pass over one, so a caller that
+    classifies, fingerprints and recommends for the same collector —
+    :class:`~repro.analysis.online.OnlineAnalyzer`, once per disk per
+    epoch — builds one reading and hands it to every function in place
+    of the collector.  A reading is a snapshot: it does not follow
+    later inserts into the collector.
+    """
+
+    __slots__ = ("collector", *_READING_FAMILIES,
+                 "commands", "read_fraction", "sequential", "sequential_plain",
+                 "sequential_writes", "random", "random_reads", "reverse",
+                 "small_io", "io_mode", "outstanding_mode")
+
+    def __init__(self, collector: VscsiStatsCollector):
+        self.collector = collector
+        seek = collector.seek_distance
+        windowed = collector.seek_distance_windowed
+        self.io_length = collector.io_length.all
+        self.seek_distance = seek.all
+        self.seek_distance_windowed = windowed.all
+        self.outstanding = collector.outstanding.all
+        self.latency_us = collector.latency_us.all
+        self.commands = collector.commands
+        self.read_fraction = collector.read_fraction
+        #: Windowed (look-behind) and plain sequential fractions.
+        self.sequential = sequential_fraction(self.seek_distance_windowed)
+        self.sequential_plain = sequential_fraction(self.seek_distance)
+        self.sequential_writes = (
+            sequential_fraction(windowed.writes) if seek.writes.count
+            else 0.0
+        )
+        self.random = random_fraction(self.seek_distance)
+        self.random_reads = random_fraction(seek.reads)
+        self.reverse = reverse_fraction(self.seek_distance)
+        self.small_io = self.io_length.fraction_in(
+            float("-inf"), _SMALL_IO_BYTES)
+        self.io_mode = self.io_length.mode_label()
+        self.outstanding_mode = self.outstanding.mode_label()
+
+    @classmethod
+    def of(cls, source: "Union[Reading, VscsiStatsCollector]") -> "Reading":
+        """``source`` itself when it already is a reading."""
+        return source if isinstance(source, cls) else cls(source)
+
+    def all(self, family: str) -> Histogram:
+        """The merged ``all`` view of ``family`` — the one built with
+        the reading when it is among the five held."""
+        if family in _READING_FAMILIES:
+            return getattr(self, family)
+        return getattr(self.collector, family).all
+
+
+def interleaved_stream_signal(
+        collector: Union[Reading, VscsiStatsCollector]) -> float:
     """How much sequentiality the look-behind window recovers (§3.1).
 
     Returns ``windowed_sequential - plain_sequential``: near zero for
@@ -101,16 +162,16 @@ def interleaved_stream_signal(collector: VscsiStatsCollector) -> float:
     sees inter-stream jumps, the min-of-last-N histogram sees each
     stream's continuity).
     """
-    plain = sequential_fraction(collector.seek_distance.all)
-    windowed = sequential_fraction(collector.seek_distance_windowed.all)
-    return windowed - plain
+    reading = Reading.of(collector)
+    return reading.sequential - reading.sequential_plain
 
 
 #: Windowed sequentiality below this is noise, not streams.
 _STREAM_SIGNAL_FLOOR = 0.3
 
 
-def stream_count_estimate(collector: VscsiStatsCollector) -> int:
+def stream_count_estimate(
+        collector: Union[Reading, VscsiStatsCollector]) -> int:
     """Estimate how many sequential streams are interleaved (§3.1).
 
     When ``k`` sequential streams interleave, the plain seek histogram
@@ -125,11 +186,12 @@ def stream_count_estimate(collector: VscsiStatsCollector) -> int:
     drives the plain fraction to zero, which is indistinguishable
     beyond the window's reach.
     """
-    windowed = sequential_fraction(collector.seek_distance_windowed.all)
+    reading = Reading.of(collector)
+    windowed = reading.sequential
     if windowed < _STREAM_SIGNAL_FLOOR:
         return 0
-    plain = sequential_fraction(collector.seek_distance.all)
-    window = collector.window_size
+    plain = reading.sequential_plain
+    window = reading.collector.window_size
     floor = windowed / (window + 1)
     ratio = windowed / max(plain, floor)
     return max(1, min(window, int(round(ratio))))

@@ -40,18 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.collector import VscsiStatsCollector
+from ..core.histogram import Histogram
 from ..core.service import DiskKey
 from ..faults import fire
 from ..workloads.patterns import CHARACTERIZATION_SUITE, PatternSpec
-from .characterize import (
-    is_seekless,
-    random_fraction,
-    sequential_fraction,
-    stream_count_estimate,
-)
+from .characterize import Reading, is_seekless, stream_count_estimate
 from .compare import total_variation_distance
 from .recommend import WorkloadClass, categorize, recommend
 
@@ -135,7 +131,7 @@ def _log2_gap(a: float, b: float, span: float) -> float:
 
 
 def match_personality(
-    collector: VscsiStatsCollector,
+    collector: Union[Reading, VscsiStatsCollector],
     suite: Tuple[PatternSpec, ...] = CHARACTERIZATION_SUITE,
 ) -> Tuple[str, float]:
     """Name the nearest :class:`PatternSpec` personality.
@@ -145,13 +141,15 @@ def match_personality(
     edge-seek fraction, dominant I/O size (octaves) and typical queue
     depth (octaves) — and returns ``(name, distance)`` for the
     minimum.  Ties break toward suite order, so the result is a pure
-    function of the collector.
+    function of the collector (or of a prepared
+    :class:`~repro.analysis.characterize.Reading` of it).
     """
-    reads = collector.read_fraction
-    seq = sequential_fraction(collector.seek_distance_windowed.all)
-    rand = random_fraction(collector.seek_distance.all)
-    io_mode = _label_value(collector.io_length.all.mode_label())
-    out_mode = _label_value(collector.outstanding.all.mode_label())
+    reading = Reading.of(collector)
+    reads = reading.read_fraction
+    seq = reading.sequential
+    rand = reading.random
+    io_mode = _label_value(reading.io_mode)
+    out_mode = _label_value(reading.outstanding_mode)
     best_name, best_score = "", math.inf
     for spec in suite:
         score = (
@@ -273,13 +271,32 @@ def format_verdict(verdict: EpochVerdict) -> str:
 # ----------------------------------------------------------------------
 # The analyzer
 # ----------------------------------------------------------------------
+#: What drift reads of a disk's history: the ``all`` histogram of each
+#: configured family, and nothing else of the collectors merged into it.
+_Baseline = Dict[str, Histogram]
+
+
+def _absorb(baseline: _Baseline, view: _Baseline) -> None:
+    """``baseline[f] = baseline[f].merge(view[f])``, in place."""
+    for name, hist in view.items():
+        base = baseline[name]
+        base.counts = [a + b for a, b in zip(base.counts, hist.counts)]
+        base.count += hist.count
+        base.total += hist.total
+        if hist.count:
+            base.min = hist.min if base.min is None \
+                else min(base.min, hist.min)
+            base.max = hist.max if base.max is None \
+                else max(base.max, hist.max)
+
+
 class _DiskState:
     """Per-vdisk drift bookkeeping."""
 
     __slots__ = ("baseline", "streak", "events", "rules", "last_verdict")
 
     def __init__(self) -> None:
-        self.baseline: Optional[VscsiStatsCollector] = None
+        self.baseline: Optional[_Baseline] = None
         self.streak = 0
         self.events = 0
         self.rules: Tuple[str, ...] = ()
@@ -342,10 +359,16 @@ class OnlineAnalyzer:
         vm, vdisk = key
         state = self._disks.setdefault(key, _DiskState())
         active = collector.commands >= config.min_commands
+        # The one reading of this disk-epoch, shared by drift, class,
+        # personality and rules; an idle epoch is not read at all.
+        reading = view = None
+        if active:
+            reading = Reading(collector)
+            view = self._drift_view(reading)
 
         score = 0.0
         if active and state.baseline is not None:
-            score = self.drift_score(state.baseline, collector)
+            score = self.drift_score(state.baseline, view)
         # Chaos hook: a scheduled ``partial`` forces this reading to
         # maximum drift — a misclassification window tests can aim at
         # the hysteresis logic; ``error``/``reset`` propagate to the
@@ -371,35 +394,35 @@ class OnlineAnalyzer:
         # are quarantined from it until the streak resolves; an event
         # rebases it onto the new personality.
         if active:
-            if event and config.rebase_on_event:
-                state.baseline = collector.copy()
+            if state.baseline is None \
+                    or (event and config.rebase_on_event):
+                state.baseline = {name: hist.copy()
+                                  for name, hist in view.items()}
             elif not drifting:
-                state.baseline = (
-                    collector.copy() if state.baseline is None
-                    else state.baseline.merge(collector)
-                )
+                _absorb(state.baseline, view)
 
         if active:
-            personality, distance = match_personality(collector)
+            personality, distance = match_personality(reading)
             rules = tuple(sorted(
-                r.rule for r in recommend(collector)))
+                r.rule for r in recommend(reading, config.min_commands)))
             added = tuple(r for r in rules if r not in state.rules)
             removed = tuple(r for r in state.rules if r not in rules)
             state.rules = rules
-            sequential = sequential_fraction(
-                collector.seek_distance_windowed.all)
-            rand = random_fraction(collector.seek_distance.all)
-            streams = stream_count_estimate(collector)
+            sequential = reading.sequential
+            rand = reading.random
+            streams = stream_count_estimate(reading)
+            workload_class = categorize(reading, config.min_commands)
         else:
             personality, distance = None, math.inf
             rules, added, removed = state.rules, (), ()
             sequential = rand = 0.0
             streams = 0
+            workload_class = WorkloadClass.IDLE
 
         verdict = EpochVerdict(
             epoch=index, vm=vm, vdisk=vdisk,
             commands=collector.commands,
-            workload_class=categorize(collector),
+            workload_class=workload_class,
             read_fraction=collector.read_fraction,
             sequential=sequential, random=rand, streams=streams,
             seekless=is_seekless(collector),
@@ -412,15 +435,25 @@ class OnlineAnalyzer:
         return verdict
 
     # ------------------------------------------------------------------
-    def drift_score(self, baseline: VscsiStatsCollector,
-                    collector: VscsiStatsCollector) -> float:
-        """Max TV distance across the configured families."""
-        score = 0.0
-        for name in self.config.families:
-            a = getattr(baseline, name).all
-            b = getattr(collector, name).all
-            score = max(score, total_variation_distance(a, b))
-        return score
+    def _drift_view(self, source) -> _Baseline:
+        """The configured families' ``all`` views of a collector or
+        reading (a baseline passes through)."""
+        if isinstance(source, dict):
+            return source
+        reading = Reading.of(source)
+        return {name: reading.all(name) for name in self.config.families}
+
+    def drift_score(self, baseline, collector) -> float:
+        """Max TV distance across the configured families.
+
+        Either side may be a collector, a
+        :class:`~repro.analysis.characterize.Reading` or the per-family
+        ``all`` mapping the analyzer keeps as a disk's baseline.
+        """
+        baseline = self._drift_view(baseline)
+        current = self._drift_view(collector)
+        return max(total_variation_distance(baseline[name], current[name])
+                   for name in self.config.families)
 
     # ------------------------------------------------------------------
     def seed_from_store(self, store, end_ns: Optional[int] = None) -> int:
@@ -436,10 +469,12 @@ class OnlineAnalyzer:
         seeded = 0
         for key, collector in result.service.collectors():
             state = self._disks.setdefault(key, _DiskState())
-            state.baseline = collector
+            reading = Reading(collector)
+            state.baseline = self._drift_view(reading)
             if collector.commands >= self.config.min_commands:
                 state.rules = tuple(sorted(
-                    r.rule for r in recommend(collector)))
+                    r.rule for r in recommend(reading,
+                                              self.config.min_commands)))
             seeded += 1
         return seeded
 

@@ -21,16 +21,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import List, Union
 
 from ..core.collector import VscsiStatsCollector
-from .characterize import (
-    interleaved_stream_signal,
-    is_seekless,
-    random_fraction,
-    reverse_fraction,
-    sequential_fraction,
-)
+from .characterize import Reading, interleaved_stream_signal, is_seekless
 
 __all__ = ["WorkloadClass", "Recommendation", "categorize", "recommend"]
 
@@ -45,11 +39,8 @@ class WorkloadClass(enum.Enum):
     IDLE = "idle"                      # too few commands to say
 
 
-#: Minimum commands before categorization is meaningful.
+#: Default minimum commands before categorization is meaningful.
 _MIN_COMMANDS = 100
-
-#: "Small" I/O for classification purposes: <= 16 KB.
-_SMALL_IO_BYTES = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -61,41 +52,44 @@ class Recommendation:
     message: str
 
 
-def categorize(collector: VscsiStatsCollector) -> WorkloadClass:
-    """Assign a coarse class from the histogram set."""
-    if collector.commands < _MIN_COMMANDS:
-        return WorkloadClass.IDLE
-    seek = collector.seek_distance
-    sequential_all = sequential_fraction(
-        collector.seek_distance_windowed.all
-    )
-    small = collector.io_length.all.fraction_in(
-        float("-inf"), _SMALL_IO_BYTES
-    )
-    reads = collector.read_fraction
+def categorize(collector: Union[Reading, VscsiStatsCollector],
+               min_commands: int = _MIN_COMMANDS) -> WorkloadClass:
+    """Assign a coarse class from the histogram set.
 
-    writes_sequential = (
-        sequential_fraction(collector.seek_distance_windowed.writes)
-        if seek.writes.count
-        else 0.0
-    )
-    reads_random = (
-        random_fraction(seek.reads) if seek.reads.count else 0.0
-    )
-    if writes_sequential > 0.7 and reads_random > 0.5 and 0.0 < reads < 1.0:
+    Fewer than ``min_commands`` commands is :attr:`WorkloadClass.IDLE`;
+    a caller with its own activity floor
+    (:attr:`~repro.analysis.online.DriftConfig.min_commands`) passes it
+    so "active" means one thing.  Accepts a prepared
+    :class:`~repro.analysis.characterize.Reading` in place of the
+    collector.
+    """
+    if collector.commands < min_commands:
+        return WorkloadClass.IDLE
+    reading = Reading.of(collector)
+    small = reading.small_io
+    reads = reading.read_fraction
+    if (reading.sequential_writes > 0.7 and reading.random_reads > 0.5
+            and 0.0 < reads < 1.0):
         return WorkloadClass.LOG_STRUCTURED
-    if sequential_all > 0.7 or small < 0.3:
+    if reading.sequential > 0.7 or small < 0.3:
         return WorkloadClass.STREAMING
-    if small > 0.7 and random_fraction(seek.all) > 0.4 and 0.1 < reads < 0.95:
+    if small > 0.7 and reading.random > 0.4 and 0.1 < reads < 0.95:
         return WorkloadClass.OLTP
     return WorkloadClass.FILE_SERVER
 
 
-def recommend(collector: VscsiStatsCollector) -> List[Recommendation]:
-    """Generate placement/tuning recommendations from the histograms."""
+def recommend(collector: Union[Reading, VscsiStatsCollector],
+              min_commands: int = _MIN_COMMANDS) -> List[Recommendation]:
+    """Generate placement/tuning recommendations from the histograms.
+
+    ``min_commands`` and the :class:`Reading` form are as for
+    :func:`categorize`.
+    """
     findings: List[Recommendation] = []
-    if collector.commands < _MIN_COMMANDS:
+    if collector.commands < min_commands:
         return findings
+    reading = Reading.of(collector)
+    collector = reading.collector
     # Spindle-mechanics rules (reverse scans, stream separation, the
     # write-back-cache heuristic) presume seeks and rotational caches;
     # on a flash-backed vdisk they misfire — flash programs are
@@ -106,7 +100,7 @@ def recommend(collector: VscsiStatsCollector) -> List[Recommendation]:
     # --- reverse scans (§3.1) -------------------------------------
     # A uniformly random workload is ~50% negative by symmetry, so the
     # detector requires a clear backwards *bias*, not just negatives.
-    reverse = reverse_fraction(collector.seek_distance.all)
+    reverse = reading.reverse
     if not seekless and reverse > 0.65:
         findings.append(
             Recommendation(
@@ -121,7 +115,7 @@ def recommend(collector: VscsiStatsCollector) -> List[Recommendation]:
         )
 
     # --- interleaved sequential streams (§3.1/§3.6) ----------------
-    signal = interleaved_stream_signal(collector)
+    signal = interleaved_stream_signal(reading)
     if not seekless and signal > 0.3:
         findings.append(
             Recommendation(
@@ -137,7 +131,7 @@ def recommend(collector: VscsiStatsCollector) -> List[Recommendation]:
         )
 
     # --- stripe sizing from the size distribution ([1]) ------------
-    dominant = collector.io_length.all.mode_label()
+    dominant = reading.io_mode
     if not dominant.startswith(">"):
         dominant_bytes = int(dominant)
         findings.append(
@@ -173,7 +167,7 @@ def recommend(collector: VscsiStatsCollector) -> List[Recommendation]:
             )
 
     # --- concurrency vs queue depth (§3.3) --------------------------
-    outstanding = collector.outstanding.all
+    outstanding = reading.outstanding
     if outstanding.count:
         high = 1.0 - outstanding.fraction_in(float("-inf"), 32)
         if high > 0.25:
@@ -206,8 +200,10 @@ def recommend(collector: VscsiStatsCollector) -> List[Recommendation]:
         )
 
     # --- flash GC pause tail --------------------------------------
-    gc = collector.gc_pause_us.writes.merge(collector.gc_pause_us.reads)
-    if gc.count:
+    # (only a flash backend populates the family: skip the merge for
+    # the spindle majority)
+    gc = collector.gc_pause_us.all if seekless else None
+    if gc is not None and gc.count:
         long_pauses = 1.0 - gc.fraction_in(float("-inf"), 10_000)
         if long_pauses > 0.5:
             findings.append(
@@ -224,8 +220,8 @@ def recommend(collector: VscsiStatsCollector) -> List[Recommendation]:
             )
 
     # --- latency tail (§3.5) ----------------------------------------
-    if latency.all.count:
-        tail = 1.0 - latency.all.fraction_in(float("-inf"), 30_000)
+    if reading.latency_us.count:
+        tail = 1.0 - reading.latency_us.fraction_in(float("-inf"), 30_000)
         if tail > 0.10:
             findings.append(
                 Recommendation(

@@ -52,7 +52,8 @@ class BinScheme:
     ``<= edges[0]``); the final bin holds values ``> edges[-1]``.
     """
 
-    __slots__ = ("name", "edges", "unit", "_labels", "_lut", "_edges_array")
+    __slots__ = ("name", "edges", "unit", "_labels", "_lut", "_edges_array",
+                 "_bounds")
 
     def __init__(self, name: str, edges: Iterable[int], unit: str = ""):
         edge_tuple: Tuple[int, ...] = tuple(int(e) for e in edges)
@@ -70,6 +71,7 @@ class BinScheme:
         self._labels: Optional[List[str]] = None
         self._lut: Optional[List[int]] = None
         self._edges_array = None  # numpy mirror of ``edges``, built on demand
+        self._bounds: Optional[List[Tuple[float, float]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -120,9 +122,18 @@ class BinScheme:
         """
         if not 0 <= index < self.num_bins:
             raise IndexError(f"bin index {index} out of range")
-        low = float("-inf") if index == 0 else float(self.edges[index - 1])
-        high = float("inf") if index == len(self.edges) else float(self.edges[index])
-        return (low, high)
+        return self.bounds_table()[index]
+
+    def bounds_table(self) -> List[Tuple[float, float]]:
+        """:meth:`bounds` of every bin in axis order, built once and
+        cached for the read side (``fraction_in`` and the seek-shape
+        readings walk it per histogram); treat it as read-only."""
+        table = self._bounds
+        if table is None:
+            lows = [float("-inf")] + [float(e) for e in self.edges]
+            highs = lows[1:] + [float("inf")]
+            table = self._bounds = list(zip(lows, highs))
+        return table
 
     def labels(self) -> List[str]:
         """Axis labels exactly as the paper prints them.

@@ -151,23 +151,16 @@ class Histogram:
         if not self.count:
             return 0.0
         hit = 0
-        for index, c in enumerate(self.counts):
-            if not c:
-                continue
-            b_low, b_high = self.scheme.bounds(index)
-            if b_low >= low and b_high <= high:
+        for c, (b_low, b_high) in zip(self.counts,
+                                      self.scheme.bounds_table()):
+            if c and b_low >= low and b_high <= high:
                 hit += c
         return hit / self.count
 
     def mode_bin(self) -> int:
         """Index of the most populated bin (ties -> lowest index)."""
-        best_index = 0
-        best_count = -1
-        for index, c in enumerate(self.counts):
-            if c > best_count:
-                best_count = c
-                best_index = index
-        return best_index
+        counts = self.counts
+        return counts.index(max(counts))
 
     def mode_label(self) -> str:
         """Axis label of the most populated bin."""

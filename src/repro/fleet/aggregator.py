@@ -36,7 +36,6 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..core.collector import DEFAULT_TIME_SLOT_NS
-from ..core.service import HistogramService
 from ..core.window import DEFAULT_WINDOW_SIZE
 from ..live.exposition import render_openmetrics
 from ..live.protocol import (
@@ -336,10 +335,9 @@ class FleetAggregator:
                    "seq": seq, "node": self.node}
             if staleness is not None:
                 doc["staleness_seconds"] = staleness
-            if applied and self.store is not None:
-                self._persist(header, payload_bytes)
-            if applied and self.analyzer is not None:
-                self._observe(header, payload_bytes)
+            if applied and (self.store is not None
+                            or self.analyzer is not None):
+                self._record(header, payload_bytes)
             response = pack_ok(doc)
             if entry is None:
                 entry = _ChildSession(seq, response)
@@ -355,35 +353,54 @@ class FleetAggregator:
             self.uplink.enqueue(*relay)
         return response
 
-    def _persist(self, header: Dict, payload: bytes) -> None:
-        """Append one applied snapshot to the store (root only).
+    def _record(self, header: Dict, payload: bytes) -> None:
+        """Persist, then analyse, one applied snapshot (root only).
+
+        Each record is sliced out of the frame and decoded once.  The
+        decode is the validation that keeps an undecodable record out
+        of the store, and its collectors are what the analyzer reads;
+        what is persisted is the received bytes themselves.
+        """
+        records = sorted(snapshot_extents(header, payload))
+        try:
+            pairs = [(key, collector_from_bytes(record))
+                     for key, record in records]
+        except ValueError as exc:
+            if self.store is not None:
+                self._note_persist_failure(header, str(exc))
+            if self.analyzer is not None:
+                self.analysis_errors_total += 1
+            return
+        if self.store is not None:
+            self._persist(header, records)
+        if self.analyzer is not None:
+            self._observe(pairs)
+
+    def _persist(self, header: Dict, records) -> None:
+        """Append one applied snapshot's ``(key, record)`` pairs to the
+        store as received.
 
         A store failure degrades instead of crashing — the snapshot is
         already merged in memory and acked exactly-once; losing its
         durability is recorded, not fatal.
         """
         try:
-            service = HistogramService(window_size=self.window_size,
-                                       time_slot_ns=self.time_slot_ns)
-            for key, record in snapshot_extents(header, payload):
-                service.adopt(key, collector_from_bytes(record))
             start_ns = int(header.get("start_ns", 0))
             end_ns = max(int(header.get("end_ns", start_ns + 1)),
                          start_ns + 1)
-            self.store.append_epoch(service, start_ns, end_ns, sync=True)
+            self.store.append_epoch(records, start_ns, end_ns, sync=True)
         except (OSError, ValueError) as exc:
             self._note_persist_failure(header, str(exc))
 
-    def _observe(self, header: Dict, payload: bytes) -> None:
-        """Feed one applied host epoch to the online analyzer.
+    def _observe(self, pairs) -> None:
+        """Feed one applied host epoch's ``(key, collector)`` pairs to
+        the online analyzer.
 
         The analyzer indexes epochs by the fleet-global apply sequence
         (host epoch numbers collide across hosts); a failing analysis
         stage is counted and never blocks the ack path.
         """
         try:
-            pairs = [(key, collector_from_bytes(record))
-                     for key, record in snapshot_extents(header, payload)]
             self.analyzer.observe_epoch(
                 pairs, index=self.ledger.epochs_applied_total - 1)
         except (OSError, ValueError):

@@ -102,8 +102,9 @@ def unpack_snapshot(payload) -> Tuple[str, int, Dict, memoryview]:
     The record bytes come back as a :class:`memoryview` over
     ``payload`` — never a copy — so a server that read the frame with
     ``read_frame_view`` slices per-disk extents zero-copy.  The header
-    is validated structurally (host, epoch, extent bounds) so a
-    malformed frame is rejected before any state is touched.
+    is validated structurally (host, epoch, extent bounds, one extent
+    per disk) so a malformed frame is rejected before any state is
+    touched.
     """
     view = memoryview(payload)
     if len(view) < _NAME_LEN.size:
@@ -151,6 +152,7 @@ def _validate_header(header: Dict, body_len: int) -> None:
     disks = header.get("disks")
     if not isinstance(disks, list):
         raise ProtocolError('snapshot header needs a "disks" extent list')
+    seen = set()
     for extent in disks:
         if not isinstance(extent, dict):
             raise ProtocolError("snapshot extent must be a JSON object")
@@ -165,6 +167,14 @@ def _validate_header(header: Dict, body_len: int) -> None:
         if not isinstance(extent.get("vm"), str) \
                 or not isinstance(extent.get("vdisk"), str):
             raise ProtocolError("snapshot extent needs vm and vdisk names")
+        key = (extent["vm"], extent["vdisk"])
+        if key in seen:
+            # One record per disk per epoch: two would be merged into
+            # one stored record but judged as two epochs by the
+            # analyzer, and no encoder produces them.
+            raise ProtocolError(
+                f"snapshot header names disk {key[0]}/{key[1]} twice")
+        seen.add(key)
 
 
 def encode_host_snapshot(host: str, epoch) -> Tuple[Dict, bytes]:

@@ -7,8 +7,7 @@ to merging the raw epochs, and an exact range-query engine.  See
 ``docs/store.md``.
 """
 
-from .codec import (collector_from_bytes, collector_to_bytes,
-                    service_from_bytes, service_to_bytes)
+from .codec import collector_from_bytes, collector_to_bytes
 from .compactor import (DEFAULT_TIERS_NS, CompactionPlan, MergeGroup,
                         plan_compaction, select_retained)
 from .query import QueryResult, range_query
@@ -18,7 +17,6 @@ from .wal import WAL_MAGIC, WriteAheadLog, scan_wal
 
 __all__ = [
     "collector_from_bytes", "collector_to_bytes",
-    "service_from_bytes", "service_to_bytes",
     "DEFAULT_TIERS_NS", "CompactionPlan", "MergeGroup",
     "plan_compaction", "select_retained",
     "QueryResult", "range_query",

@@ -1,4 +1,4 @@
-"""Binary snapshot codec for collector and service snapshots.
+"""Binary snapshot codec for collector snapshots.
 
 The store's unit of persistence is one :class:`VscsiStatsCollector`
 snapshot (one disk, one epoch).  Two frame formats coexist:
@@ -57,8 +57,8 @@ wrapped.  Encoding uses only ``struct``; decode and merge are numpy
 views and reductions over the same bytes.
 
 Round-trip identity — ``collector_from_bytes(collector_to_bytes(c)) ==
-c`` and the service-level analogue — is Hypothesis-pinned in
-``tests/test_store_codec.py``, as is v1/v2 decode equivalence.
+c`` — is Hypothesis-pinned in ``tests/test_store_codec.py``, as is
+v1/v2 decode equivalence.
 """
 
 from __future__ import annotations
@@ -86,22 +86,17 @@ from ..core.collector import (
 )
 from ..core.histogram import Histogram
 from ..core.histogram2d import TimeSeriesHistogram
-from ..core.service import HistogramService
 
 __all__ = [
     "COLLECTOR_MAGIC",
     "COLLECTOR_MAGIC_V2",
-    "SERVICE_MAGIC",
     "collector_from_bytes",
     "collector_to_bytes",
     "merge_collector_payloads",
-    "service_from_bytes",
-    "service_to_bytes",
 ]
 
 COLLECTOR_MAGIC = b"RPHCOL1\n"
 COLLECTOR_MAGIC_V2 = b"RPHCOL2\n"
-SERVICE_MAGIC = b"RPHSVC1\n"
 _MAGIC_LEN = 8
 _HDRLEN = struct.Struct("<I")
 
@@ -1053,54 +1048,3 @@ def merge_collector_payloads(payloads) -> VscsiStatsCollector:
         collector = collector_from_bytes(view)
         merged = collector if merged is None else merged.merge(collector)
     return merged
-
-
-# ----------------------------------------------------------------------
-# Service records
-# ----------------------------------------------------------------------
-def service_to_bytes(service: HistogramService) -> bytes:
-    """Serialize a whole service (every disk) as one framed record.
-
-    The body is the concatenation of per-disk collector records; the
-    header indexes them by ``(vm, vdisk)`` with byte extents, so a
-    reader can decode one disk without touching the rest.
-    """
-    payload = _PayloadWriter()
-    disks = []
-    for (vm, vdisk), collector in service.collectors():
-        record = collector_to_bytes(collector)
-        disks.append({"vm": vm, "vdisk": vdisk,
-                      "off": payload.offset, "len": len(record)})
-        payload.chunks.append(record)
-        payload.offset += len(record)
-    header = {
-        "format": "repro-service-v1",
-        "window_size": service.window_size,
-        "time_slot_ns": service.time_slot_ns,
-        "enabled": service.enabled,
-        "disks": disks,
-    }
-    return _frame(SERVICE_MAGIC, header, payload)
-
-
-def service_from_bytes(data) -> HistogramService:
-    """Inverse of :func:`service_to_bytes`."""
-    header, payload_base = _unframe(data, SERVICE_MAGIC, "service")
-    if header.get("format") != "repro-service-v1":
-        raise ValueError(
-            f"unsupported service record format {header.get('format')!r}"
-        )
-    service = HistogramService(window_size=header["window_size"],
-                               time_slot_ns=header["time_slot_ns"])
-    service.enabled = bool(header["enabled"])
-    view = memoryview(data) if not isinstance(data, memoryview) else data
-    for entry in header["disks"]:
-        start = payload_base + entry["off"]
-        end = start + entry["len"]
-        if end > len(data):
-            raise ValueError("truncated service record: disk past the end")
-        key = (entry["vm"], entry["vdisk"])
-        if service.collector(*key) is not None:
-            raise ValueError(f"duplicate disk entry {key!r}")
-        service._collectors[key] = collector_from_bytes(view[start:end])
-    return service

@@ -47,11 +47,12 @@ import os
 import struct
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.collector import VscsiStatsCollector
-from ..core.service import HistogramService
 from .codec import (
+    COLLECTOR_MAGIC,
+    COLLECTOR_MAGIC_V2,
     collector_from_bytes,
     collector_to_bytes,
     merge_collector_payloads,
@@ -458,13 +459,21 @@ class HistogramStore:
         return tuple(self._manifest["tiers_ns"])
 
     def append(self, vm: str, vdisk: str, start_ns: int, end_ns: int,
-               collector: VscsiStatsCollector, sync: bool = False) -> int:
+               collector: Union[VscsiStatsCollector, bytes],
+               sync: bool = False) -> int:
         """Persist one epoch snapshot; returns its sequence number.
 
         ``[start_ns, end_ns)`` is the epoch's half-open span in integer
         nanoseconds.  With ``sync=True`` the record is fsynced before
         returning regardless of the store's batching policy — the
         zero-acknowledged-loss durability point.
+
+        ``collector`` may be an already-encoded codec record (either
+        frame version, as :func:`~repro.store.codec.collector_to_bytes`
+        writes them): it is stored as it is, so a node that received a
+        record over the wire persists it without a decode/re-encode.
+        Only the magic is checked here — whoever hands over bytes
+        vouches that they decode.
         """
         if self._closed or self.readonly:
             self._check_writable()
@@ -481,7 +490,13 @@ class HistogramStore:
         vm = str(vm)
         vdisk = str(vdisk)
         seq = self._next_seq
-        record = collector_to_bytes(collector)
+        if isinstance(collector, (bytes, bytearray, memoryview)):
+            record = bytes(collector)
+            if record[:len(COLLECTOR_MAGIC)] not in (COLLECTOR_MAGIC,
+                                                     COLLECTOR_MAGIC_V2):
+                raise ValueError("not a collector record: bad magic")
+        else:
+            record = collector_to_bytes(collector)
         names = self._name_bytes.get((vm, vdisk))
         if names is None:
             vm_bytes = vm.encode("utf-8")
@@ -514,12 +529,19 @@ class HistogramStore:
             self.checkpoint()
         return seq
 
-    def append_epoch(self, service: HistogramService, start_ns: int,
+    def append_epoch(self, service, start_ns: int,
                      end_ns: int, sync: bool = False) -> int:
-        """Persist every disk of a sealed epoch service; returns the
-        number of records appended."""
+        """Persist every disk of a sealed epoch; returns the number of
+        records appended.
+
+        ``service`` is a :class:`~repro.core.service.HistogramService`
+        or an iterable of ``((vm, vdisk), collector-or-record)`` pairs
+        (see :meth:`append` for records), written in the order given.
+        """
+        if hasattr(service, "collectors"):
+            service = service.collectors()
         count = 0
-        for (vm, vdisk), collector in service.collectors():
+        for (vm, vdisk), collector in service:
             self.append(vm, vdisk, start_ns, end_ns, collector)
             count += 1
         if sync and count:

@@ -44,7 +44,12 @@ from repro.live.protocol import (
     pack_control,
     read_frame,
 )
-from repro.store.codec import collector_to_bytes, merge_collector_payloads
+from repro.store import HistogramStore
+from repro.store.codec import (
+    collector_from_bytes,
+    collector_to_bytes,
+    merge_collector_payloads,
+)
 
 
 def _records(n, seed=7, start_serial=0, start_ns=0):
@@ -151,6 +156,7 @@ class TestSnapshotProtocol:
         lambda h: h["disks"][0].__setitem__("len", 1 << 30),
         lambda h: h["disks"][0].__setitem__("off", -4),
         lambda h: h["disks"][0].__setitem__("vm", 7),
+        lambda h: h["disks"].append(dict(h["disks"][0])),
     ])
     def test_rejects_malformed_headers(self, mutate):
         (header, payload), _ = _host_epochs("esx-a", 1)[0][0], None
@@ -505,8 +511,6 @@ class TestFleetTree:
                                          "metric": "bogus.metric"})
 
     def test_root_persists_global_series(self, tmp_path):
-        from repro.store import HistogramStore
-
         store_dir = tmp_path / "fleethist"
         with FleetAggregator(port=0, node="root",
                              store=str(store_dir)) as root:
@@ -522,6 +526,139 @@ class TestFleetTree:
             assert result.epochs == 2
             assert _canon(result.to_dict()["disks"]) \
                 == _canon(_expected_disks(union))
+
+
+# ---------------------------------------------------------------------------
+# The persisting, analysing root: one decode, received bytes persisted
+# ---------------------------------------------------------------------------
+def _two_disk_snapshot(host="esx-a", epoch=0, seed=11):
+    """One host epoch of two active disks, extents in *unsorted* key
+    order (a relayed header is whatever its encoder wrote)."""
+    records = {
+        ("vm-z", "scsi0:0"): collector_to_bytes(
+            _collector(_records(150, seed=seed))),
+        ("vm-a", "scsi0:1"): collector_to_bytes(
+            _collector(_records(150, seed=seed + 1))),
+    }
+    disks, offset = [], 0
+    for (vm, vdisk), record in records.items():
+        disks.append({"vm": vm, "vdisk": vdisk,
+                      "off": offset, "len": len(record)})
+        offset += len(record)
+    header = {"host": host, "epoch": epoch, "records": 300,
+              "start_ns": epoch * 10 ** 9, "end_ns": (epoch + 1) * 10 ** 9,
+              "disks": disks}
+    return header, b"".join(records.values()), records
+
+
+def _deliver(root, session, seq, header, payload):
+    """Hand one SNAPSHOT frame to ``root`` as its connection thread
+    would; returns the ack document."""
+    _ftype, body = read_frame_bytes(
+        pack_snapshot(session, seq, header, payload))
+    ftype, ack = read_frame_bytes(root._handle_snapshot(body))
+    assert ftype == FRAME_OK
+    return json.loads(ack)
+
+
+class TestRootRecordPath:
+    @pytest.fixture
+    def root(self, tmp_path):
+        root = FleetAggregator(node="root", store=str(tmp_path / "root"),
+                               online=True)
+        yield root
+        root.close()
+
+    def test_wal_is_byte_identical_to_decode_adopt_reencode(
+            self, root, tmp_path):
+        """What the root used to do — decode every record, adopt it
+        into a service, ``append_epoch(service)`` — wrote these exact
+        bytes; now the received records go in as they are, in the
+        service's sorted key order."""
+        from repro.core.service import HistogramService
+
+        with HistogramStore.create(tmp_path / "reference") as reference:
+            for epoch in range(3):
+                header, payload, records = _two_disk_snapshot(
+                    epoch=epoch, seed=20 + epoch)
+                ack = _deliver(root, "link", epoch + 1, header, payload)
+                assert ack["applied"] is True
+                service = HistogramService()
+                for key, record in records.items():
+                    service.adopt(key, collector_from_bytes(record))
+                reference.append_epoch(service, header["start_ns"],
+                                       header["end_ns"], sync=True)
+            assert (root.store.path / "wal.log").read_bytes() \
+                == (reference.path / "wal.log").read_bytes()
+        assert not root.degraded
+        assert root.analyzer.epochs_seen == 3
+        assert root.analyzer.verdicts_total == 6
+
+    def test_each_record_decoded_once_and_duplicates_never(
+            self, root, monkeypatch):
+        from repro.fleet import aggregator
+
+        decoded = []
+
+        def counting(record):
+            decoded.append(bytes(record))
+            return collector_from_bytes(record)
+
+        monkeypatch.setattr(aggregator, "collector_from_bytes", counting)
+        header, payload, records = _two_disk_snapshot()
+        assert _deliver(root, "link-1", 1, header, payload)["applied"]
+        assert sorted(decoded) == sorted(records.values())
+        # The same host epoch through another link, and a retry of the
+        # first frame: acknowledged, not decoded, persisted or judged.
+        assert _deliver(root, "link-2", 1, header, payload)["duplicate"]
+        assert _deliver(root, "link-1", 1, header, payload)["applied"]
+        assert len(decoded) == 2
+        assert len(root.store) == 2
+        assert root.analyzer.epochs_seen == 1
+
+    def test_undecodable_record_counts_twice_and_is_never_written(
+            self, root):
+        header, payload, _records = _two_disk_snapshot()
+        good = _deliver(root, "link", 1, header, payload)
+        # Same extents, second record's bytes replaced by noise.
+        cut = header["disks"][1]["off"]
+        bad_header = dict(header, epoch=1)
+        bad = _deliver(root, "link", 2, bad_header,
+                       payload[:cut] + b"\x00" * (len(payload) - cut))
+        assert root.analysis_errors_total == 1
+        assert len(root.persist_errors) == 1 and root.degraded
+        assert root.persist_errors[0]["epoch"] == 1
+        # Nothing of the snapshot was written — not even its good
+        # first record — and nothing was judged.
+        assert len(root.store) == 2
+        assert root.analyzer.epochs_seen == 1
+        # The ack is what any applied snapshot gets.
+        assert bad == dict(good, epoch=1, seq=2)
+
+    def test_duplicate_extent_rejected_before_any_state(self, root):
+        """A header naming one disk twice used to append both records,
+        persist their merge and judge the disk twice in one epoch."""
+        header, payload, _records = _two_disk_snapshot()
+        twice = dict(header, disks=header["disks"] + [header["disks"][0]])
+        root.start()
+        with socket.create_connection(root.address) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(pack_snapshot("link", 1, twice, payload))
+            ftype, body = read_frame(rfile)
+            assert ftype == FRAME_ERROR
+            assert "twice" in json.loads(body)["error"]
+            assert root.rejected_frames_total == 1
+            assert root.ledger.epochs_applied_total == 0
+            assert not root.ledger.seen("esx-a", 0)
+            assert "link" not in root._sessions
+            assert len(root.store) == 0
+            assert root.analyzer.epochs_seen == 0
+            # The corrected resend of the same sequence number applies.
+            sock.sendall(pack_snapshot("link", 1, header, payload))
+            ftype, body = read_frame(rfile)
+        assert ftype == FRAME_OK
+        assert json.loads(body)["applied"] is True
+        assert root.analyzer.verdicts_total == 2
 
 
 # ---------------------------------------------------------------------------

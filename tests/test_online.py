@@ -227,6 +227,26 @@ class TestIdleEpochs:
         [v] = analyzer.observe_epoch(_pairs(_zipf_write_collector()))
         assert v.drift_score == 0.0 and not v.drifting
 
+    def test_lowered_floor_classifies_what_it_fingerprints(self):
+        """One idle floor: an epoch above ``min_commands`` but below
+        the classifier's default 100 used to get a personality and
+        ``workload_class=idle`` with an empty rule set."""
+        analyzer = _analyzer(min_commands=50)
+        [v] = analyzer.observe_epoch(_pairs(_seq_read_collector(n=60)))
+        assert v.personality == "seq-read-64k"
+        assert v.workload_class.value == "streaming"
+        assert "stripe-size" in v.rules and v.rules_added == v.rules
+        # The next epoch of the same workload changes no rule.
+        [v] = analyzer.observe_epoch(
+            _pairs(_seq_read_collector(n=60, lba0=60 * 128)))
+        assert v.rules_added == () and v.rules_removed == ()
+
+    def test_raised_floor_keeps_inactive_epochs_idle(self):
+        analyzer = _analyzer(min_commands=500)
+        [v] = analyzer.observe_epoch(_pairs(_seq_read_collector(n=200)))
+        assert v.personality is None and v.rules == ()
+        assert v.workload_class.value == "idle"
+
 
 class TestObserveEpochShapes:
     def test_accepts_epoch_object_and_uses_its_index(self):
@@ -483,7 +503,7 @@ class TestFleetWiring:
         header = self._snapshot_header(record)
         applied, _ = agg.ledger.apply(header, record, via="s1")
         assert applied
-        agg._observe(header, record)
+        agg._record(header, record)
         doc = agg.verdicts_dict()
         assert doc["online"] is True and doc["role"] == "root"
         assert "vm/d0" in doc["disks"]
@@ -495,7 +515,7 @@ class TestFleetWiring:
         agg = FleetAggregator(online=True)
         header = self._snapshot_header(b"garbage")
         header["disks"][0]["len"] = 7
-        agg._observe(header, b"garbage")
+        agg._record(header, b"garbage")
         assert agg.analysis_errors_total == 1
         assert agg.verdicts_dict()["analysis_errors_total"] == 1
 

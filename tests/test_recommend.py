@@ -65,6 +65,18 @@ class TestCategorize:
         feed(collector, [(0, 8)])
         assert categorize(collector) == WorkloadClass.IDLE
 
+    def test_idle_floor_is_the_callers(self):
+        collector = VscsiStatsCollector()
+        feed(collector, [(index * 16, 16) for index in range(60)])
+        assert categorize(collector) == WorkloadClass.IDLE
+        assert categorize(collector, min_commands=50) \
+            == WorkloadClass.STREAMING
+        assert recommend(collector) == []
+        assert recommend(collector, min_commands=50) != []
+        assert categorize(oltp_like(), min_commands=10 ** 6) \
+            == WorkloadClass.IDLE
+        assert recommend(oltp_like(), min_commands=10 ** 6) == []
+
     def test_oltp(self):
         assert categorize(oltp_like()) == WorkloadClass.OLTP
 

@@ -22,8 +22,6 @@ from repro.store.codec import (
     collector_from_bytes,
     collector_to_bytes,
     merge_collector_payloads,
-    service_from_bytes,
-    service_to_bytes,
 )
 
 try:
@@ -228,34 +226,6 @@ class TestCodecV2:
         for cut in (9, 40, len(blob) - 1):
             with pytest.raises(ValueError):
                 collector_from_bytes(blob[:cut])
-
-
-class TestServiceRoundTrip:
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(
-        st.tuples(st.sampled_from(["vmA", "vmB", "vm/slash"]),
-                  st.sampled_from(["scsi0:0", "scsi0:1"]),
-                  st.lists(op_strategy, max_size=20)),
-        max_size=4,
-        unique_by=lambda entry: (entry[0], entry[1]),
-    ))
-    def test_round_trip_equals(self, disks):
-        service = HistogramService()
-        for vm, vdisk, ops in disks:
-            service.adopt((vm, vdisk), build_collector(ops))
-        assert service_from_bytes(service_to_bytes(service)) == service
-
-    def test_slash_in_names_round_trips(self):
-        service = HistogramService()
-        service.adopt(("vm/a", "disk/0"),
-                      build_collector([(10, True, 0, 8, 0, 5_000)]))
-        restored = service_from_bytes(service_to_bytes(service))
-        assert [key for key, _c in restored.collectors()] \
-            == [("vm/a", "disk/0")]
-
-    def test_empty_service(self):
-        service = HistogramService()
-        assert service_from_bytes(service_to_bytes(service)) == service
 
 
 class TestDictRoundTrip:

@@ -21,7 +21,7 @@ from repro.store.codec import (
     collector_to_bytes,
 )
 from repro.store.store import _wal_frame
-from repro.store.wal import WriteAheadLog
+from repro.store.wal import WAL_MAGIC, WriteAheadLog
 
 SECOND_NS = 1_000_000_000
 
@@ -220,3 +220,52 @@ class TestMixedRecovery:
             assert len(tail) == 1
             assert tail[0].load() == acked
             assert reopened.recovered_wal_records == 2
+
+
+class TestEncodedRecords:
+    """``append``/``append_epoch`` take an already-encoded record in
+    place of a collector — how the fleet root persists what it
+    received without a decode/re-encode."""
+
+    def test_append_epoch_of_records_equals_append_epoch_of_service(
+            self, tmp_path):
+        from repro.core.service import HistogramService
+
+        keys = [("vm1", "d0"), ("vm0", "d1"), ("vm0", "d0")]
+        with HistogramStore.create(tmp_path / "a") as by_service, \
+                HistogramStore.create(tmp_path / "b") as by_records:
+            for epoch in range(3):
+                service = HistogramService()
+                for index, key in enumerate(keys):
+                    service.adopt(key, epoch_collector(10 * epoch + index))
+                span = (epoch * SECOND_NS, (epoch + 1) * SECOND_NS)
+                assert by_service.append_epoch(service, *span,
+                                               sync=True) == 3
+                records = [(key, collector_to_bytes(collector))
+                           for key, collector in service.collectors()]
+                assert by_records.append_epoch(records, *span,
+                                               sync=True) == 3
+            assert (by_records.path / "wal.log").read_bytes() \
+                == (by_service.path / "wal.log").read_bytes()
+
+    def test_v1_record_is_written_as_received(self, tmp_path):
+        collector = epoch_collector(5)
+        record = force_v1(collector)
+        with HistogramStore.create(tmp_path / "hist") as store:
+            store.append("vm0", "d0", 0, SECOND_NS, memoryview(record))
+            [handle] = store.records()
+            assert bytes(handle.raw()) == record
+            assert handle.load() == collector
+
+    @pytest.mark.parametrize("junk", [b"", b"RPHCOL", b"RPHSVC1\n" + b"x" * 64,
+                                      bytearray(64)])
+    def test_bytes_without_the_magic_are_refused(self, tmp_path, junk):
+        with HistogramStore.create(tmp_path / "hist") as store:
+            with pytest.raises(ValueError, match="magic"):
+                store.append("vm0", "d0", 0, SECOND_NS, junk)
+            with pytest.raises(ValueError, match="magic"):
+                store.append_epoch([(("vm0", "d0"), junk)], 0, SECOND_NS,
+                                   sync=True)
+            assert len(store) == 0
+            assert (store.path / "wal.log").stat().st_size \
+                == len(WAL_MAGIC)
