@@ -4,7 +4,7 @@ Re-measures the throughput of every registered benchmark (the live
 daemon's loopback ingest modes, the durable store's
 append/recover/query paths, the fleet tree, the flash model and the
 online analyzer) and compares it against the committed
-``BENCH_*.json`` records.  The hot-path and sharded-replay subjects
+``BENCH_*.json`` records.  The hot-path and columnar-replay subjects
 are measured by ``benchmarks/pipeline/`` (``core.*_ns_per_cmd``,
 ``parallel.replay_columns_ns_per_cmd``).  Exits
 non-zero when any mode regresses by more than ``TOLERANCE`` (20%), so

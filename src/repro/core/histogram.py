@@ -205,8 +205,9 @@ class Histogram:
         merging is exact, associative and commutative: any partition of
         an observation stream recombines to byte-identical
         :meth:`to_dict` output.  Merging is how per-interval histograms
-        roll up to a whole run and how per-shard histograms from
-        parallel replay (:mod:`repro.parallel`) recombine.
+        roll up to a whole run and how per-worker, per-epoch and
+        per-host histograms recombine (cluster fan-in, store
+        compaction, the fleet tree).
 
         ``name`` overrides the merged histogram's display name
         (defaults to this histogram's name).

@@ -18,7 +18,7 @@ true here; arbitrary 2-D correlation lives in trace post-processing
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .bins import BinScheme
 from .histogram import Histogram
@@ -249,17 +249,6 @@ class TimeSeriesHistogram:
             if slot > series._max_slot:
                 series._max_slot = slot
         return series
-
-    def nonzero_cells(self) -> List[Tuple[int, str, int]]:
-        """``(slot, value_label, count)`` triples for populated cells."""
-        labels = self.scheme.labels()
-        cells = []
-        for slot_index in sorted(self._slots):
-            hist = self._slots[slot_index]
-            for bin_index, c in enumerate(hist.counts):
-                if c:
-                    cells.append((slot_index, labels[bin_index], c))
-        return cells
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,7 +17,7 @@ layer — e.g. to watch a workload's class drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import Engine
 from .collector import VscsiStatsCollector
@@ -44,10 +44,6 @@ class IntervalSample:
     seek_distance: Histogram
     latency_us: Histogram
     outstanding: Histogram
-
-    @property
-    def duration_seconds(self) -> float:
-        return (self.end_ns - self.start_ns) / 1e9
 
 
 class IntervalSampler:
@@ -139,13 +135,6 @@ class IntervalSampler:
         return [
             sample for sample in self.samples
             if sample.vm == vm and sample.vdisk == vdisk
-        ]
-
-    def iops_series(self, vm: str, vdisk: str) -> List[Tuple[int, float]]:
-        """(interval index, IOps) pairs — the long-term rate curve."""
-        return [
-            (sample.interval_index, sample.iops)
-            for sample in self.series_for(vm, vdisk)
         ]
 
     def drift(self, vm: str, vdisk: str,

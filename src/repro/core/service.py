@@ -113,30 +113,6 @@ class HistogramService:
             time_ns, is_read, latency_ns, wa_pct=wa_pct,
             gc_pause_us=gc_pause_us)
 
-    def record_issue_batch(self, vm: str, vdisk: str, times_ns, is_read,
-                           lbas, nblocks, outstanding) -> None:
-        """Observe a run of command arrivals as parallel columns.
-
-        One enabled-check and one collector lookup for the whole run —
-        equivalent to a :meth:`record_issue` loop, no-op when disabled.
-        """
-        if not (self.enabled or self._per_disk_enabled.get((vm, vdisk), False)):
-            return
-        self._collector_for(vm, vdisk).on_issue_batch(
-            times_ns, is_read, lbas, nblocks, outstanding
-        )
-
-    def record_complete_batch(self, vm: str, vdisk: str, times_ns, is_read,
-                              latencies_ns,
-                              wa_pct=None, gc_pause_us=None) -> None:
-        """Observe a run of command completions as parallel columns."""
-        if not (self.enabled or self._per_disk_enabled.get((vm, vdisk), False)):
-            return
-        self._collector_for(vm, vdisk).on_complete_batch(
-            times_ns, is_read, latencies_ns,
-            wa_pct=wa_pct, gc_pause_us=gc_pause_us
-        )
-
     def _collector_for(self, vm: str, vdisk: str) -> VscsiStatsCollector:
         """Lazily allocate the collector for a disk (§5.2)."""
         key = (vm, vdisk)

@@ -8,7 +8,7 @@ harness and EXPERIMENTS.md all enumerate the same set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .figure2 import run_figure2
@@ -112,9 +112,9 @@ def run_all_experiments(quick: bool = False, jobs: int = 1,
     """Run every registered experiment; returns ``{exp_id: result}``.
 
     Experiments are independent simulations, so with ``jobs > 1`` they
-    fan out across worker processes (start method from
-    :func:`repro.parallel.pick_start_method`: ``fork`` where the
-    platform offers it, else ``spawn``).  Results come back in
+    fan out across worker processes (``fork`` where the platform
+    offers it — a forked worker inherits the imported interpreter —
+    else ``spawn``).  Results come back in
     registry order regardless of completion order, so the output is
     deterministic.
 
@@ -136,9 +136,8 @@ def run_all_experiments(quick: bool = False, jobs: int = 1,
     if jobs <= 1:
         return {exp_id: run_experiment(exp_id, quick=quick)
                 for exp_id in ids}
-    from ..parallel import pick_start_method
-
-    ctx = get_context(pick_start_method())
+    ctx = get_context(
+        "fork" if "fork" in get_all_start_methods() else "spawn")
     with ctx.Pool(processes=jobs) as pool:
         pairs = pool.map(_run_for_pool, [(exp_id, quick) for exp_id in ids])
     by_id = dict(pairs)

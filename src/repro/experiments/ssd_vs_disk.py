@@ -74,13 +74,6 @@ class PatternComparison:
     disk: BackendOutcome
     ssd: BackendOutcome
 
-    @property
-    def latency_ratio(self) -> float:
-        """SSD mean latency over disk mean latency."""
-        if self.disk.mean_latency_us <= 0:
-            return float("inf")
-        return self.ssd.mean_latency_us / self.disk.mean_latency_us
-
 
 @dataclass
 class SsdVsDiskResult:

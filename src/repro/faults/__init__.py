@@ -3,8 +3,8 @@
 The chaos plane behind ``tests/test_faults.py``: seedable schedules of
 socket resets, partial writes, ``EIO``/``ENOSPC`` store errors, worker
 crashes and delays, fired through hooks compiled into the live client
-and server, the store WAL/segment writers and the sharded replay
-workers.  With no plan armed the hooks cost one global read.
+and server, the cluster workers, the fleet uplink and the store
+WAL/segment writers.  With no plan armed the hooks cost one global read.
 """
 
 from .injector import (

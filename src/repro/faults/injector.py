@@ -79,7 +79,6 @@ SITES = {
     "store.wal.append": "WriteAheadLog.append, before framing the record",
     "store.wal.sync": "WriteAheadLog.sync, before drain+flush+fsync",
     "store.segment.write": "write_segment, before staging the temp file",
-    "parallel.worker": "_replay_shard, before each segment replay",
     # Fires inside cluster worker processes: once right after the
     # startup HELLO and once per coordinator-driven worker-rotate, with
     # ``worker_index`` in the context for per-worker ``when`` routing
@@ -133,7 +132,7 @@ class FaultAction:
 
     ``when`` (optional dict) restricts the action to firing contexts
     whose keyword arguments are a superset of it — e.g.
-    ``when={"worker_index": 0}`` kills only shard worker 0.
+    ``when={"worker_index": 0}`` kills only cluster worker 0.
     """
 
     __slots__ = ("kind", "errno", "message", "seconds", "fraction",
@@ -201,7 +200,7 @@ class FaultPlan:
         plan = (FaultPlan()
                 .reset("live.client.send", at=2)
                 .error("store.wal.append", at=0, errno=errno.ENOSPC)
-                .crash("parallel.worker", at=1, when={"worker_index": 0}))
+                .crash("live.cluster.worker", at=1, when={"worker_index": 0}))
     """
 
     def __init__(self, name: str = "plan"):

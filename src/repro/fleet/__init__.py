@@ -34,7 +34,6 @@ from .protocol import (
 from .queries import (
     FAMILIES,
     histogram_percentile,
-    metric_value,
     percentile_doc,
     resolve_metric,
     topk,
@@ -53,7 +52,6 @@ __all__ = [
     "encode_host_snapshot",
     "fleet_rpc",
     "histogram_percentile",
-    "metric_value",
     "pack_snapshot",
     "parse_parents",
     "percentile_doc",

@@ -155,6 +155,8 @@ class FleetAggregator:
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_threads: List[threading.Thread] = []
+        self._conns: set = set()
+        self._conns_lock = threading.Lock()
         self._stopping = threading.Event()
         self._started = False
         self._closed = False
@@ -207,6 +209,19 @@ class FleetAggregator:
                 self._listener.close()
             except OSError:  # pragma: no cover
                 pass
+        # A handler blocked reading from an idle child only wakes when
+        # its socket is shut down; the joins below are the backstop.
+        with self._conns_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover
+                pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         for thread in list(self._conn_threads):
@@ -244,6 +259,8 @@ class FleetAggregator:
                                       if t.is_alive()]
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        with self._conns_lock:
+            self._conns.add(conn)
         try:
             if self.idle_timeout is not None:
                 conn.settimeout(self.idle_timeout)
@@ -282,6 +299,8 @@ class FleetAggregator:
         except (OSError, ValueError):
             return
         finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:  # pragma: no cover

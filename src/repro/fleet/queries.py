@@ -31,7 +31,6 @@ from ..core.service import DiskKey
 __all__ = [
     "FAMILIES",
     "histogram_percentile",
-    "metric_value",
     "percentile_doc",
     "resolve_metric",
     "topk",
@@ -96,10 +95,6 @@ def resolve_metric(spec: str) -> Callable[[VscsiStatsCollector], float]:
         return hist.total / hist.count if hist.count else 0.0
 
     return value
-
-
-def metric_value(collector: VscsiStatsCollector, spec: str) -> float:
-    return resolve_metric(spec)(collector)
 
 
 def topk(pairs: List[Tuple[DiskKey, VscsiStatsCollector]], metric: str,

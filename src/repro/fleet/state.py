@@ -27,7 +27,7 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.collector import DEFAULT_TIME_SLOT_NS, VscsiStatsCollector
-from ..core.service import DiskKey, HistogramService
+from ..core.service import DiskKey
 from ..core.window import DEFAULT_WINDOW_SIZE
 from ..store.codec import collector_to_bytes, merge_collector_payloads
 
@@ -193,13 +193,6 @@ class FleetLedger:
                 per_disk.setdefault(key, []).extend(records)
         return [(key, merge_collector_payloads(records))
                 for key, records in sorted(per_disk.items())]
-
-    def global_service(self) -> HistogramService:
-        service = HistogramService(window_size=self.window_size,
-                                   time_slot_ns=self.time_slot_ns)
-        for key, collector in self.global_pairs():
-            service.adopt(key, collector)
-        return service
 
     def host_collector(self, host: str) -> Optional[VscsiStatsCollector]:
         """One host's aggregate across its disks (the fleet analogue of

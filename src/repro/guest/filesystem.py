@@ -197,10 +197,6 @@ class Filesystem:
         self._alloc_cursor += sectors
         return base
 
-    @property
-    def free_sectors(self) -> int:
-        return self.region_blocks - self._alloc_cursor
-
     # ------------------------------------------------------------------
     # Application-facing operations
     # ------------------------------------------------------------------

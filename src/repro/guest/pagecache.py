@@ -94,12 +94,6 @@ class PageCache:
         if key in self._pages:
             self._pages[key] = False
 
-    def invalidate_file(self, file_id: int) -> None:
-        """Drop every page of a file (e.g. on delete)."""
-        doomed = [key for key in self._pages if key[0] == file_id]
-        for key in doomed:
-            del self._pages[key]
-
     @property
     def resident_pages(self) -> int:
         return len(self._pages)

@@ -15,7 +15,7 @@ guest OS queues is invisible (a stated limit of the approach, §6).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from ..core.service import HistogramService
 from ..core.tracing import TraceBuffer
@@ -55,9 +55,6 @@ class VScsiDevice:
         self.queue.set_dispatcher(self._dispatch)
         self.trace: Optional[TraceBuffer] = None
         self.commands = 0
-        # While a burst is being issued, _dispatch appends its stats
-        # columns here instead of calling the service per command.
-        self._burst_cols: Optional[Tuple[List, ...]] = None
         # Flash backends publish per-command FTL telemetry (WA percent,
         # GC pause) for the command whose completion callback is about
         # to run; mechanical backends don't have the method and the
@@ -87,28 +84,6 @@ class VScsiDevice:
         self.commands += 1
         self.queue.submit(request)
 
-    def issue_burst(self, requests: Sequence[ScsiRequest]) -> None:
-        """Accept a run of same-time commands as one batch.
-
-        Exactly equivalent to an :meth:`issue` loop — each request still
-        passes through the pending queue (so a depth limit queues the
-        excess, to be dispatched scalar-style as completions free slots)
-        — but stats for the commands dispatched now are recorded with a
-        single columnar :meth:`HistogramService.record_issue_batch` call
-        instead of one service call per command.
-        """
-        cols: Tuple[List, ...] = ([], [], [], [], [])
-        self._burst_cols = cols
-        try:
-            for request in requests:
-                self.commands += 1
-                self.queue.submit(request)
-        finally:
-            self._burst_cols = None
-        if cols[0]:
-            self.service.record_issue_batch(self.vm_name, self.vdisk.name,
-                                            *cols)
-
     def issue_cdb(self, cdb: bytes, tag: str = "") -> ScsiRequest:
         """Accept a raw Command Descriptor Block, as the emulated LSI
         Logic adapter would receive it from the guest driver (§2), and
@@ -128,23 +103,15 @@ class VScsiDevice:
         # Outstanding *other* commands at arrival (§3.3): this request
         # was just added to the in-flight set, so subtract it.
         outstanding_before = self.queue.outstanding - 1
-        cols = self._burst_cols
-        if cols is not None:
-            cols[0].append(now)
-            cols[1].append(request.is_read)
-            cols[2].append(request.lba)
-            cols[3].append(request.nblocks)
-            cols[4].append(outstanding_before)
-        else:
-            self.service.record_issue(
-                self.vm_name,
-                self.vdisk.name,
-                now,
-                request.is_read,
-                request.lba,
-                request.nblocks,
-                outstanding_before,
-            )
+        self.service.record_issue(
+            self.vm_name,
+            self.vdisk.name,
+            now,
+            request.is_read,
+            request.lba,
+            request.nblocks,
+            outstanding_before,
+        )
         backing_lba = self.vdisk.translate(request.lba, request.nblocks)
         self.vdisk.backing.submit(
             backing_lba,

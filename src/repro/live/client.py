@@ -56,11 +56,10 @@ import random
 import socket
 import time
 import uuid
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
-from ..core.tracing import TraceRecord
 from ..faults import fire
-from ..parallel.trace_io import TraceColumns, records_to_columns
+from ..parallel.trace_io import TraceColumns
 from .protocol import (
     FRAME_ERROR,
     FRAME_OK,
@@ -471,13 +470,6 @@ class LiveStatsClient:
             ) from exc
         total["retried"] = self.retries_total - start_retries
         return total
-
-    def publish_records(self, vm: str, vdisk: str,
-                        records: Iterable[TraceRecord],
-                        frame_records: int = DEFAULT_FRAME_RECORDS) -> Dict:
-        """Stream trace records (sorted into stream order first)."""
-        return self.publish_columns(vm, vdisk, records_to_columns(records),
-                                    frame_records=frame_records)
 
     # ------------------------------------------------------------------
     # Control plane

@@ -135,10 +135,6 @@ class EpochLedger:
         #: when even the sidecar write failed).
         self.persist_errors: List[Dict] = []
 
-    def attach_store(self, store) -> None:
-        """Persist sealed epochs to ``store`` from now on."""
-        self.store = store
-
     def note_store_failure(self, message: str) -> None:
         """Record a store failure not tied to one epoch's seal
         (e.g. checkpoint/close at shutdown)."""

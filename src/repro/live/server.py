@@ -447,7 +447,14 @@ class LiveStatsServer:
             if listener is None:
                 continue
             # A blocked accept() is not reliably woken by closing the
-            # listener from another thread; a loopback connect is.
+            # listener from another thread.  shutdown() wakes it on
+            # Linux; elsewhere it raises and a loopback connect does —
+            # but not on a port shared through SO_REUSEPORT, where the
+            # kernel may hand that connect to a sibling's listener.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 socket.create_connection(address, timeout=1.0).close()
             except OSError:

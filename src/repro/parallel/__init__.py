@@ -1,28 +1,14 @@
-"""Multi-core scale-out: sharded parallel replay of vSCSI traces.
+"""Columnar trace I/O.
 
-The paper's efficiency argument (§3) is that per-vdisk histograms are
-O(m)-space and *additive* — which makes them shard-and-merge friendly.
-This package exploits that:
-
-* :mod:`repro.parallel.trace_io` — zero-copy columnar reader/writer
-  for the ``VSCSITR1`` binary trace format plus a sharded writer that
-  splits multi-vdisk captures into per-vdisk segment files.
-* :mod:`repro.parallel.sharded` — the :class:`ShardedReplay` driver:
-  whole per-vdisk command streams are assigned to worker processes
-  (streams are never split, so seek-distance and look-behind state
-  stay exact) and the per-worker collectors recombine through the
-  public merge API (:meth:`repro.core.VscsiStatsCollector.merge`) to
-  byte-identical snapshots.
+:mod:`repro.parallel.trace_io` is the zero-copy columnar reader/writer
+for the ``VSCSITR1`` binary trace format, the columnar replay
+(:func:`replay_columns`) and the shard-directory container
+(:func:`write_shards` / :func:`load_manifest`) that splits a
+multi-vdisk capture into per-vdisk segment files.  It is the columnar
+half of :mod:`repro.core.tracing`, not a parallel facility: the package
+name stays only because ``benchmarks/pipeline/`` imports it.
 """
 
-from .sharded import (
-    ShardedReplay,
-    ShardedReplayError,
-    ShardedReplayResult,
-    partition_segments,
-    pick_start_method,
-    replay_sharded,
-)
 from .trace_io import (
     TraceColumns,
     columns_to_records,
@@ -35,18 +21,12 @@ from .trace_io import (
 )
 
 __all__ = [
-    "ShardedReplay",
-    "ShardedReplayError",
-    "ShardedReplayResult",
     "TraceColumns",
     "columns_to_records",
     "load_manifest",
-    "partition_segments",
-    "pick_start_method",
     "read_binary_columns",
     "records_to_columns",
     "replay_columns",
-    "replay_sharded",
     "write_binary_columns",
     "write_shards",
 ]

@@ -12,8 +12,8 @@ materializing per-record Python objects.
 Also provided:
 
 * :func:`write_shards` — split a multi-vdisk capture into one segment
-  file per virtual disk plus a JSON manifest, the on-disk layout the
-  sharded replay driver (:mod:`repro.parallel.sharded`) consumes.
+  file per virtual disk plus a JSON manifest — the multi-disk trace
+  container ``repro publish DIR`` streams.
 * :func:`replay_columns` — the columnar twin of
   :func:`repro.core.tracing.replay_into_collector`; snapshots are
   byte-identical (property-tested).

@@ -35,10 +35,6 @@ class OpCode(enum.IntEnum):
     def is_read(self) -> bool:
         return self in (OpCode.READ_6, OpCode.READ_10, OpCode.READ_16)
 
-    @property
-    def is_write(self) -> bool:
-        return self in (OpCode.WRITE_6, OpCode.WRITE_10, OpCode.WRITE_16)
-
 
 @dataclass(frozen=True)
 class Cdb:

@@ -24,7 +24,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 __all__ = [
     "Engine",
@@ -166,38 +166,6 @@ class Engine:
         heapq.heappush(self._heap, handle)
         return handle
 
-    def schedule_at_batch(
-        self, items: Sequence[Tuple[int, Callable[[], None]]]
-    ) -> List[EventHandle]:
-        """Schedule many ``(absolute_time_ns, callback)`` events at once.
-
-        Events fire in the usual (time, scheduling-order) order, exactly
-        as an equivalent :meth:`schedule_at` loop would, but for a large
-        batch the heap is rebuilt with one O(n) ``heapify`` instead of n
-        O(log n) sift-ups.
-        """
-        now = self._now
-        seq = self._seq
-        handles = []
-        for time, callback in items:
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule at t={time} before now={now}"
-                )
-            handles.append(EventHandle(int(time), seq, callback, self))
-            seq += 1
-        self._seq = seq
-        self._live += len(handles)
-        heap = self._heap
-        if len(handles) * 4 > len(heap) + 8:
-            heap.extend(handles)
-            heapq.heapify(heap)
-        else:
-            push = heapq.heappush
-            for handle in handles:
-                push(heap, handle)
-        return handles
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -266,10 +234,6 @@ class Engine:
                 self._now = until
         finally:
             self._running = False
-
-    def run_for(self, duration: int) -> None:
-        """Run for ``duration`` simulated nanoseconds from the current time."""
-        self.run(until=self._now + int(duration))
 
     def stop(self) -> None:
         """Stop a ``run()`` in progress after the current event returns."""

@@ -102,17 +102,6 @@ class StorageArray:
             self.writes += 1
             self._submit_write(lba, nblocks, on_done)
 
-    def submit_batch(self, ops: List[tuple]) -> None:
-        """Service a burst of ``(lba, nblocks, is_read, on_done)`` ops.
-
-        Semantically a :meth:`submit` loop — every access still takes
-        the full cache/RAID path in order — provided as the single
-        entry point for initiators that generate their offered load in
-        bursts (e.g. filling an outstanding-I/O budget at start-up).
-        """
-        for lba, nblocks, is_read, on_done in ops:
-            self.submit(lba, nblocks, is_read, on_done)
-
     def _link_transfer_ns(self, nblocks: int) -> int:
         """Fabric transfer time for the payload (the 4 Gb SAN link) —
         why a 1 MB command takes visibly longer than a 64 KB one even

@@ -168,9 +168,5 @@ class WriteBackCache:
         if self.dirty_bytes < 0:
             raise ValueError("destaged more bytes than were dirty")
 
-    @property
-    def fill_fraction(self) -> float:
-        return self.dirty_bytes / self.capacity_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<WriteBackCache dirty={self.dirty_bytes}/{self.capacity_bytes}>"

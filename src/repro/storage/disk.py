@@ -130,16 +130,6 @@ class Disk:
         if not self._busy:
             self._service_next()
 
-    @property
-    def queue_depth(self) -> int:
-        """Commands waiting plus the one in service."""
-        return len(self._queue) + (1 if self._busy else 0)
-
-    def utilization(self) -> float:
-        """Fraction of elapsed simulated time the disk was busy."""
-        now = self.engine.now
-        return self.busy_ns / now if now else 0.0
-
     # ------------------------------------------------------------------
     def _pick_next(self) -> Tuple[int, int, bool, Callable[[], None], int]:
         """Dequeue per the scheduling discipline."""

@@ -2,7 +2,7 @@
 
 :class:`SsdArray` exports the exact request interface of
 :class:`~repro.storage.array.StorageArray` (``submit`` /
-``submit_batch`` / ``capacity_blocks`` / ``name``), so
+``capacity_blocks`` / ``name``), so
 ``EsxServer.create_vdisk`` can carve extents out of either without
 knowing which technology sits below — the precondition for the
 ``ssd_vs_disk`` experiment replaying one workload against both.
@@ -36,22 +36,16 @@ __all__ = ["SsdArray", "ssd_array"]
 class _Channel:
     """One flash channel: a serial server with a FIFO op queue."""
 
-    __slots__ = ("engine", "name", "_queue", "_busy", "ops", "busy_ns",
-                 "max_queue")
+    __slots__ = ("engine", "name", "_queue", "_busy")
 
     def __init__(self, engine: Engine, name: str):
         self.engine = engine
         self.name = name
         self._queue: Deque[Tuple[int, Callable[[], None]]] = deque()
         self._busy = False
-        self.ops = 0
-        self.busy_ns = 0
-        self.max_queue = 0
 
     def submit(self, service_ns: int, on_done: Callable[[], None]) -> None:
         self._queue.append((service_ns, on_done))
-        if len(self._queue) > self.max_queue:
-            self.max_queue = len(self._queue)
         if not self._busy:
             self._service_next()
 
@@ -60,8 +54,6 @@ class _Channel:
             return
         self._busy = True
         service_ns, on_done = self._queue.popleft()
-        self.ops += 1
-        self.busy_ns += service_ns
 
         def finish() -> None:
             self._busy = False
@@ -69,10 +61,6 @@ class _Channel:
             self._service_next()
 
         self.engine.schedule(service_ns, finish)
-
-    def utilization(self) -> float:
-        now = self.engine.now
-        return self.busy_ns / now if now else 0.0
 
 
 class SsdArray:
@@ -153,15 +141,6 @@ class SsdArray:
         for channel_index, service_ns in ops:
             channels[channel_index].submit(service_ns, one_done)
 
-    def submit_batch(self, ops: List[tuple]) -> None:
-        """Service a burst of ``(lba, nblocks, is_read, on_done)`` ops.
-
-        Semantically a :meth:`submit` loop, mirroring
-        :meth:`StorageArray.submit_batch`.
-        """
-        for lba, nblocks, is_read, on_done in ops:
-            self.submit(lba, nblocks, is_read, on_done)
-
     # ------------------------------------------------------------------
     def take_completion_telemetry(self) -> Tuple[Optional[int],
                                                  Optional[int]]:
@@ -177,10 +156,6 @@ class SsdArray:
         return telemetry if telemetry is not None else (None, None)
 
     # ------------------------------------------------------------------
-    def total_flash_ops(self) -> int:
-        """Channel-level flash operations serviced."""
-        return sum(channel.ops for channel in self.channels)
-
     def write_amplification(self) -> float:
         return self.ftl.write_amplification()
 

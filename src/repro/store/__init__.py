@@ -10,7 +10,7 @@ to merging the raw epochs, and an exact range-query engine.  See
 from .codec import collector_from_bytes, collector_to_bytes
 from .compactor import (DEFAULT_TIERS_NS, CompactionPlan, MergeGroup,
                         plan_compaction, select_retained)
-from .query import QueryResult, range_query
+from .query import QueryResult
 from .segments import SegmentEntry, SegmentReader, write_segment
 from .store import MANIFEST_NAME, HistogramStore, StoreRecord
 from .wal import WAL_MAGIC, WriteAheadLog, scan_wal
@@ -19,7 +19,7 @@ __all__ = [
     "collector_from_bytes", "collector_to_bytes",
     "DEFAULT_TIERS_NS", "CompactionPlan", "MergeGroup",
     "plan_compaction", "select_retained",
-    "QueryResult", "range_query",
+    "QueryResult",
     "SegmentEntry", "SegmentReader", "write_segment",
     "MANIFEST_NAME", "HistogramStore", "StoreRecord",
     "WAL_MAGIC", "WriteAheadLog", "scan_wal",

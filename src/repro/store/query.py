@@ -20,17 +20,13 @@ half-open, adjacency alone never chains the closure — only records that
 genuinely straddle a selected span pull more in.  The identity is
 Hypothesis-pinned in ``tests/test_store.py``.
 
-Two execution strategies share that contract:
-
-* :func:`range_query` — one-shot over any handle iterable.
-* :class:`QueryIndex` — a reusable index over a fixed handle set (the
-  store caches one per mutation generation): selection runs as numpy
-  interval masks over pre-extracted bound arrays, and the resulting
-  *cover* (chosen handles + covered span) is memoized per query window,
-  so the repeated/overlapping windows of a ``repro watch`` loop skip
-  both scan and closure.  Only the cover is cached — the merge always
-  re-runs, so every call returns a fresh, independently mutable
-  service.
+:class:`QueryIndex` executes it: a reusable index over a fixed handle
+set (the store caches one per mutation generation) whose selection runs
+as numpy interval masks over pre-extracted bound arrays; the resulting
+*cover* (chosen handles + covered span) is memoized per query window,
+so the repeated/overlapping windows of a ``repro watch`` loop skip both
+scan and closure.  Only the cover is cached — the merge always re-runs,
+so every call returns a fresh, independently mutable service.
 
 Merging goes through the codec's vectorized
 :func:`~repro.store.codec.merge_collector_payloads` whenever the chosen
@@ -50,7 +46,7 @@ import numpy as _np
 from ..core.service import HistogramService
 from .codec import merge_collector_payloads
 
-__all__ = ["QueryIndex", "QueryResult", "range_query"]
+__all__ = ["QueryIndex", "QueryResult"]
 
 #: Distinct query windows whose covers a :class:`QueryIndex` memoizes.
 COVER_CACHE_SIZE = 64
@@ -141,34 +137,6 @@ def merge_handles(chosen: List) -> HistogramService:
     return service if service is not None else HistogramService()
 
 
-def _closure_select(candidates: List, start_ns: int,
-                    end_ns: int) -> Tuple[List, int, int]:
-    """Pure-Python fixpoint selection (shared exactness reference)."""
-    # Half-open fixpoint selection: [q_start, q_end) with q_end = t1 + 1
-    # so an inclusive integer t1 behaves as the paper of record (records
-    # whose span *touches* t1 are in, records starting at t1 + 1 are
-    # out).
-    q_start = start_ns
-    q_end = end_ns + 1
-    chosen: List = []
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for h in candidates:
-            if h.start_ns < q_end and h.end_ns > q_start:
-                chosen.append(h)
-                changed = True
-                if h.start_ns < q_start:
-                    q_start = h.start_ns
-                if h.end_ns > q_end:
-                    q_end = h.end_ns
-            else:
-                remaining.append(h)
-        candidates = remaining
-    return chosen, q_start, q_end
-
-
 def _result(chosen: List, epochs: int) -> QueryResult:
     if not chosen:
         return QueryResult(HistogramService(), None, None, 0, 0)
@@ -176,32 +144,6 @@ def _result(chosen: List, epochs: int) -> QueryResult:
     covered_end = max(h.end_ns for h in chosen)
     return QueryResult(merge_handles(chosen), covered_start, covered_end,
                        len(chosen), epochs)
-
-
-def range_query(handles: Iterable, start_ns: int, end_ns: int,
-                vm: Optional[str] = None,
-                vdisk: Optional[str] = None) -> QueryResult:
-    """Select, close over, and merge records overlapping ``[t0, t1]``.
-
-    ``handles`` yields record handles exposing ``vm``, ``vdisk``,
-    ``start_ns``, ``end_ns``, ``records``, ``seq`` and ``load()``
-    (returning a collector snapshot) — the store's
-    :meth:`~repro.store.store.HistogramStore.records` iterator.
-    Handles additionally exposing ``raw()`` (a framed codec payload)
-    are merged through the vectorized codec path.
-    ``vm``/``vdisk`` filter the disk set before selection.
-    """
-    if end_ns < start_ns:
-        raise ValueError(
-            f"query end {end_ns} precedes query start {start_ns}"
-        )
-    candidates = [
-        h for h in handles
-        if (vm is None or h.vm == vm) and (vdisk is None or h.vdisk == vdisk)
-    ]
-    chosen, _q_start, _q_end = _closure_select(candidates, start_ns, end_ns)
-    chosen.sort(key=lambda h: (h.vm, h.vdisk, h.start_ns, h.end_ns, h.seq))
-    return _result(chosen, sum(h.records for h in chosen))
 
 
 class QueryIndex:
@@ -258,6 +200,9 @@ class QueryIndex:
                 return []
             mask = self._vdisk_codes == code
             base = mask if base is None else base & mask
+        # Half-open selection [q_start, q_end) with q_end = t1 + 1: a
+        # record whose span touches the inclusive integer t1 is in, one
+        # starting at t1 + 1 is out.
         q_start = start_ns
         q_end = end_ns + 1
         while True:
@@ -293,8 +238,9 @@ class QueryIndex:
     def query(self, start_ns: int, end_ns: int,
               vm: Optional[str] = None,
               vdisk: Optional[str] = None) -> QueryResult:
-        """Same contract (and bit-identical result) as
-        :func:`range_query` over this index's handles."""
+        """Select, close over, and merge the records overlapping
+        ``[start_ns, end_ns]`` (the module docstring's contract);
+        ``vm``/``vdisk`` filter the disk set before selection."""
         if end_ns < start_ns:
             raise ValueError(
                 f"query end {end_ns} precedes query start {start_ns}"

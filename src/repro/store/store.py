@@ -631,8 +631,7 @@ class HistogramStore:
               vm: Optional[str] = None,
               vdisk: Optional[str] = None) -> QueryResult:
         """Range query ``[start_ns, end_ns]`` (see
-        :func:`repro.store.query.range_query` for the exactness
-        contract).
+        :mod:`repro.store.query` for the exactness contract).
 
         Queries run through a cached :class:`QueryIndex` built over the
         current record set and invalidated by every mutation

@@ -82,12 +82,8 @@ class ExternalInitiator(Workload):
         if self._running:
             raise RuntimeError("initiator already started")
         self._running = True
-        # The initial outstanding-I/O budget goes out as one burst;
-        # the pattern (RNG draw order included) is identical to a
-        # scalar submit loop.
-        self.array.submit_batch(
-            [self._next_op() for _ in range(self.outstanding)]
-        )
+        for _ in range(self.outstanding):
+            self._issue_next()
 
     def stop(self) -> None:
         self._running = False

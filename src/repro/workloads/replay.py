@@ -86,30 +86,14 @@ class TraceReplayWorkload(Workload):
             raise ValueError("nothing to replay: empty trace")
         self._running = True
         if self.timing == "recorded":
-            # Group records that land on the same (scaled) arrival tick
-            # into one burst event: the whole run is issued through
-            # VScsiDevice.issue_burst with a single columnar stats call.
-            # Because every issue event is scheduled here — before any
-            # runtime completion event — same-time issues always fire
-            # before same-time completions, exactly as they would with
-            # one event per record.
+            # Every issue event is scheduled here — before any runtime
+            # completion event — so same-time issues fire in record
+            # order and before same-time completions.
             origin = self.records[0].issue_ns
-            scale = self.time_scale
-            now = self.engine.now
-            items = []
-            run: List[TraceRecord] = []
-            run_delay = -1
             for record in self.records:
-                delay = int((record.issue_ns - origin) * scale)
-                if delay != run_delay:
-                    if run:
-                        items.append(self._run_event(now + run_delay, run))
-                    run = [record]
-                    run_delay = delay
-                else:
-                    run.append(record)
-            items.append(self._run_event(now + run_delay, run))
-            self.engine.schedule_at_batch(items)
+                self.engine.schedule(
+                    int((record.issue_ns - origin) * self.time_scale),
+                    lambda record=record: self._issue(record))
         else:
             for _ in range(min(self.outstanding, len(self.records))):
                 self._issue_next_closed()
@@ -118,25 +102,6 @@ class TraceReplayWorkload(Workload):
         self._running = False
 
     # ------------------------------------------------------------------
-    def _run_event(self, time_ns: int, run: List[TraceRecord]):
-        """``(time, callback)`` entry for one same-tick run of records."""
-        if len(run) == 1:
-            record = run[0]
-            return (time_ns, lambda: self._issue(record))
-        return (time_ns, lambda: self._issue_run(run))
-
-    def _issue_run(self, records: List[TraceRecord]) -> None:
-        """Issue a same-tick run of records as one burst."""
-        if not self._running:
-            return
-        requests = []
-        for record in records:
-            request = ScsiRequest(record.is_read, record.lba, record.nblocks,
-                                  tag="replay")
-            request.on_complete(self._on_complete)
-            requests.append(request)
-        self.device.issue_burst(requests)
-
     def _issue(self, record: TraceRecord,
                on_done=None) -> Optional[ScsiRequest]:
         if not self._running:

@@ -94,11 +94,6 @@ class TestWriteBackCache:
         assert cache.accept(512)
         assert cache.dirty_bytes == 1024
 
-    def test_fill_fraction(self):
-        cache = WriteBackCache(capacity_bytes=1000)
-        cache.accept(250)
-        assert cache.fill_fraction == pytest.approx(0.25)
-
     def test_over_destage_rejected(self):
         cache = WriteBackCache(capacity_bytes=1024)
         cache.accept(100)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Engine, ms, seconds, us
+from repro.sim.engine import Engine, ms, us
 from repro.storage.disk import Disk, DiskModel
 
 
@@ -120,12 +120,6 @@ class TestQueueing:
         assert disk.commands == 2
         assert disk.busy_ns > 0
         assert disk.max_queue >= 1
-
-    def test_utilization_bounded(self, engine, disk):
-        finish_times(engine, disk, [(0, 16, True)])
-        engine.schedule(seconds(1), lambda: None)
-        engine.run()
-        assert 0.0 < disk.utilization() < 1.0
 
 
 class TestWriteServiceTime:

@@ -41,9 +41,14 @@ def figure5():
     return run_figure5(duration_s=4.0, file_bytes=1 * GIB)
 
 
+# Figure 6 asserts ratios, and the solo sequential reader — ~190k
+# simulated IOps against ~3.5k once disturbed — is what a run costs,
+# so the pair runs for 2 s.  Each assertion below carries its worst
+# value over seeds 0-4 at this length ("5 seeds: ..."); the full-length
+# runs are benchmarks/bench_figure6.py.
 @pytest.fixture(scope="module")
 def figure6():
-    return run_figure6(duration_s=6.0)
+    return run_figure6(duration_s=2.0)
 
 
 class TestSetups:
@@ -149,28 +154,30 @@ class TestFigure5Shape:
 class TestFigure6Shape:
     def test_sequential_reader_hurt_badly(self, figure6):
         """'latency increase: 40x, IOps drop: 90%.'"""
-        assert figure6.sequential_latency_factor > 10
-        assert figure6.sequential_iops_drop > 0.7
+        assert figure6.sequential_latency_factor > 10  # 5 seeds: >= 53.5
+        assert figure6.sequential_iops_drop > 0.7  # 5 seeds: 0.981
 
     def test_random_reader_hurt_mildly(self, figure6):
         """'latency increase: 1.6x, IOps drop: 38%' — the direction
         and the asymmetry, not the exact factor."""
-        assert 1.0 < figure6.random_latency_factor < 3.0
+        assert 1.0 < figure6.random_latency_factor < 3.0  # 5 seeds: 1.14-1.16
+        # 5 seeds: <= 0.135 against 0.981
         assert figure6.random_iops_drop < figure6.sequential_iops_drop
 
     def test_solo_sequential_latency_band(self, figure6):
         """'94% of I/Os had latency in (100us,500us].'"""
+        # 5 seeds: 0.857
         assert figure6.sequential_solo.latency.fraction_in(100, 500) > 0.6
 
     def test_solo_random_latency_band(self, figure6):
         """'82% of I/Os had latency in (5ms,15ms].'"""
         frac = figure6.random_solo.latency.fraction_in(5000, 15000)
-        assert frac > 0.3
+        assert frac > 0.3  # 5 seeds: >= 0.487
 
     def test_dual_sequential_shifts_right(self, figure6):
         dual = figure6.sequential_dual.latency
-        assert dual.fraction_in(100, 500) < 0.2
-        assert dual.percentile_upper_bound(0.5) >= 5000
+        assert dual.fraction_in(100, 500) < 0.2  # 5 seeds: <= 0.013
+        assert dual.percentile_upper_bound(0.5) >= 5000  # 5 seeds: 15000
 
 
 class TestTable2:
@@ -206,15 +213,19 @@ class TestRunner:
 class TestFigure6TimeSeries:
     def test_sequential_over_time_shows_phases(self):
         from repro.experiments.figure6 import run_sequential_over_time
+        # The series has 6 s slots and the reader starts at t=0, so the
+        # disturbed slot [6 s, 12 s) cannot shrink; the solo seconds —
+        # the expensive ones — can.  Slots 0 and 2 each hold 2 solo
+        # seconds (96% of slot 0's commands, all of slot 2's).
         series = run_sequential_over_time(
-            total_s=18.0, disturb_start_s=6.0, disturb_end_s=12.0
+            total_s=14.0, disturb_start_s=2.0, disturb_end_s=12.0
         )
         quiet = series.slot(0)
         disturbed = series.slot(1)
         recovered = series.slot(2)
-        assert quiet.count > 5 * disturbed.count
-        assert recovered.count > 5 * disturbed.count
-        assert (
+        assert quiet.count > 5 * disturbed.count  # 5 seeds: >= 18.6x
+        assert recovered.count > 5 * disturbed.count  # 5 seeds: 17.8x
+        assert (  # 5 seeds: 15000 against 500
             disturbed.percentile_upper_bound(0.5)
             > quiet.percentile_upper_bound(0.5)
         )

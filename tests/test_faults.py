@@ -1,18 +1,19 @@
-"""Chaos suite: deterministic fault schedules over the live/store/
-parallel stack.
+"""Chaos suite: deterministic fault schedules over the live/store
+stack.
 
 The invariant every scenario here pins: **under any injected fault
 schedule, no acknowledged record is lost or double-counted** — the
 final merged histograms are byte-identical to a fault-free run.
 Faults come from :mod:`repro.faults`: seeded schedules of connection
-resets, short writes, ``ENOSPC`` on WAL/segment I/O and killed replay
+resets, short writes, ``ENOSPC`` on WAL/segment I/O and killed
 workers, fired at hooks compiled into the client, server, store and
-shard workers.  Each bugfix that rode along with the fault plane has a
+cluster workers.  Each bugfix that rode along with the fault plane has a
 regression test here too.
 """
 
 import errno
 import json
+import multiprocessing
 import os
 import time
 
@@ -38,14 +39,19 @@ from repro.live import (
 )
 from repro.live.protocol import ProtocolError, pack_data, pack_data_seq
 from repro.parallel import (
-    ShardedReplay,
-    ShardedReplayError,
     records_to_columns,
     replay_columns,
-    write_shards,
 )
 from repro.store import HistogramStore
 from repro.store.wal import WAL_MAGIC, WriteAheadLog, scan_wal
+
+
+def _spawned_worker_entry(index):
+    """Body of a spawned worker process (module-level: spawn pickles
+    it by import path)."""
+    activate_from_env()
+    fire("live.cluster.worker", crashable=True, worker_index=index,
+         point="start")
 
 
 def _records(n, seed=7, start_serial=0, start_ns=0):
@@ -182,6 +188,19 @@ class TestInjector:
         finally:
             inj_mod._ACTIVE = saved
 
+    def test_plan_reaches_a_spawned_worker_through_the_environment(self):
+        """A spawn child re-imports the world, so it inherits no
+        injector: the plan reaches it through ``ENV_VAR`` alone.  The
+        child does what ``live.cluster._worker_main`` does on entry."""
+        plan = FaultPlan().crash("live.cluster.worker", at=0, exit_code=77,
+                                 when={"worker_index": 1})
+        with inject(plan):
+            child = multiprocessing.get_context("spawn").Process(
+                target=_spawned_worker_entry, args=(1,))
+            child.start()
+            child.join(timeout=60)
+        assert child.exitcode == 77
+
     def test_bad_kind_and_fraction_rejected(self):
         with pytest.raises(ValueError):
             FaultAction("explode")
@@ -212,8 +231,9 @@ class TestChaosLoopback:
         with LiveStatsServer(port=0, shards=2, idle_timeout=30.0) as server:
             with _fast_client(server) as client:
                 with inject(plan) as injector:
-                    result = client.publish_records(
-                        "vm0", "d0", records, frame_records=250)
+                    result = client.publish_columns(
+                        "vm0", "d0", records_to_columns(records),
+                        frame_records=250)
                 assert result["accepted"] == len(records)
                 assert result["dropped"] == 0
                 snap = client.snapshot(scope="all")
@@ -231,8 +251,9 @@ class TestChaosLoopback:
         with LiveStatsServer(port=0, shards=1, idle_timeout=30.0) as server:
             with _fast_client(server) as client:
                 with inject(plan):
-                    result = client.publish_records(
-                        "vm0", "d0", records, frame_records=200)
+                    result = client.publish_columns(
+                        "vm0", "d0", records_to_columns(records),
+                        frame_records=200)
                 assert result["accepted"] == len(records)
                 assert result["retried"] >= 1
                 info = client.info()
@@ -250,8 +271,9 @@ class TestChaosLoopback:
         with LiveStatsServer(port=0, shards=1, idle_timeout=30.0) as server:
             with _fast_client(server) as client:
                 with inject(plan):
-                    result = client.publish_records(
-                        "vm0", "d0", records, frame_records=200)
+                    result = client.publish_columns(
+                        "vm0", "d0", records_to_columns(records),
+                        frame_records=200)
                 assert result["accepted"] == len(records)
                 info = client.info()
         assert info["duplicate_frames_total"] == 0
@@ -266,8 +288,9 @@ class TestChaosLoopback:
             with LiveStatsClient(*server.address, retries=0) as client:
                 with inject(plan):
                     with pytest.raises(LiveError) as excinfo:
-                        client.publish_records("vm0", "d0", records,
-                                               frame_records=250)
+                        client.publish_columns(
+                            "vm0", "d0", records_to_columns(records),
+                            frame_records=250)
         partial = excinfo.value.partial
         assert partial["frames"] == 2
         assert partial["accepted"] == 500
@@ -365,8 +388,9 @@ class TestPublishTotals:
             with LiveStatsClient(*server.address, retries=0) as client:
                 with inject(plan):
                     with pytest.raises(LiveError) as excinfo:
-                        client.publish_records("vm0", "d0", records,
-                                               frame_records=250)
+                        client.publish_columns(
+                            "vm0", "d0", records_to_columns(records),
+                            frame_records=250)
         exc = excinfo.value
         assert exc.partial == {"records": 1000, "frames": 2, "accepted": 500,
                                "dropped": 0, "ignored": 0, "retried": 0}
@@ -378,13 +402,15 @@ class TestPublishTotals:
         records = _records(400)
         with LiveStatsServer(port=0, shards=1, idle_timeout=30.0) as server:
             with _fast_client(server) as client:
-                client.publish_records("vm0", "d0", records,
-                                       frame_records=100)
+                client.publish_columns(
+                    "vm0", "d0", records_to_columns(records),
+                    frame_records=100)
                 with pytest.raises(LiveError) as excinfo:
                     # Replaying the same records is out-of-order
                     # (watermark) — rejected on the first frame.
-                    client.publish_records("vm0", "d0", records,
-                                           frame_records=100)
+                    client.publish_columns(
+                        "vm0", "d0", records_to_columns(records),
+                        frame_records=100)
         assert excinfo.value.partial["frames"] == 0
         assert excinfo.value.partial["records"] == 400
 
@@ -590,7 +616,7 @@ class TestDegradedServer:
         with LiveStatsServer(port=0, shards=1, idle_timeout=30.0,
                              store=str(store_dir)) as server:
             with _fast_client(server) as client:
-                client.publish_records("vm0", "d0", first)
+                client.publish_columns("vm0", "d0", records_to_columns(first))
                 with inject(plan):
                     rotated = client.rotate()  # seal fails to persist
                 assert rotated["records"] == len(first)
@@ -617,7 +643,7 @@ class TestDegradedServer:
 
                 # ...and ingestion continues: a later epoch persists
                 # normally once the store works again.
-                client.publish_records("vm0", "d0", second)
+                client.publish_columns("vm0", "d0", records_to_columns(second))
                 rotated = client.rotate()
                 assert rotated["records"] == len(second)
                 snap = client.snapshot(scope="all")
@@ -641,86 +667,10 @@ class TestDegradedServer:
         with LiveStatsServer(port=0, shards=1, idle_timeout=30.0,
                              store=str(tmp_path / "hist")) as server:
             with _fast_client(server) as client:
-                client.publish_records("vm0", "d0", _records(100))
+                client.publish_columns(
+                    "vm0", "d0", records_to_columns(_records(100)))
                 client.rotate()
                 info = client.info()
         assert info["degraded"] is False
         assert info["persist_errors"] == []
         assert not (tmp_path / "hist" / "quarantine").exists()
-
-
-# ----------------------------------------------------------------------
-# Satellite + tentpole: sharded replay survives killed workers
-# ----------------------------------------------------------------------
-def _shard_corpus(tmp_path, disks=3, per_disk=400):
-    streams = {}
-    for d in range(disks):
-        streams[("vm", f"disk{d}")] = records_to_columns(
-            _records(per_disk, seed=17 + d))
-    write_shards(streams, tmp_path)
-    return tmp_path
-
-
-class TestShardedCrash:
-    def test_killed_worker_is_detected_and_recovered(self, tmp_path):
-        corpus = _shard_corpus(tmp_path / "shards")
-        baseline = ShardedReplay(corpus, jobs=1).run().to_dict()
-        plan = FaultPlan().crash("parallel.worker", at=0, exit_code=86,
-                                 when={"worker_index": 0})
-        with inject(plan):
-            result = ShardedReplay(corpus, jobs=2).run()
-        assert result.recovered_shards == (0,)
-        assert result.to_dict() == baseline  # byte-identical recovery
-
-    def test_without_retry_raises_descriptive_error(self, tmp_path):
-        corpus = _shard_corpus(tmp_path / "shards")
-        plan = FaultPlan().crash("parallel.worker", at=0, exit_code=86,
-                                 when={"worker_index": 0})
-        with inject(plan):
-            with pytest.raises(ShardedReplayError,
-                               match="exit code 86") as excinfo:
-                ShardedReplay(corpus, jobs=2, retry_lost=False).run()
-        failure = excinfo.value.failures[0]
-        assert failure["exitcode"] == 86
-        assert failure["shard"] == 0
-        assert failure["segments"]  # the unfinished segment files
-
-    def test_crash_under_spawn_via_env_propagation(self, tmp_path):
-        """A spawn worker re-imports the world; the fault plan reaches
-        it through the environment and the driver still recovers."""
-        corpus = _shard_corpus(tmp_path / "shards", disks=2, per_disk=60)
-        baseline = ShardedReplay(corpus, jobs=1).run().to_dict()
-        plan = FaultPlan().crash("parallel.worker", at=0, exit_code=77,
-                                 when={"worker_index": 1})
-        with inject(plan):
-            result = ShardedReplay(corpus, jobs=2,
-                                   mp_context="spawn").run()
-        assert result.recovered_shards == (1,)
-        assert result.to_dict() == baseline
-
-    def test_worker_exception_is_reraised_not_merged(self, tmp_path):
-        corpus = _shard_corpus(tmp_path / "shards")
-        # Corrupt one segment: the worker raises, the driver must
-        # surface it rather than silently merging the survivors.
-        manifest = json.loads((corpus / "manifest.json").read_text())
-        victim = corpus / manifest["segments"][0]["file"]
-        victim.write_bytes(b"garbage")
-        with pytest.raises(ValueError):
-            ShardedReplay(corpus, jobs=2).run()
-
-    def test_inline_jobs1_never_crashes_the_caller(self, tmp_path):
-        corpus = _shard_corpus(tmp_path / "shards", disks=2, per_disk=50)
-        plan = FaultPlan().crash("parallel.worker", at=0)
-        with inject(plan) as injector:
-            result = ShardedReplay(corpus, jobs=1).run()
-        # The crash fault fired in a non-crashable context: recorded,
-        # skipped, and the replay completed inline.
-        assert result.recovered_shards == ()
-        assert injector.fired == [("parallel.worker", 0, "crash")]
-
-    def test_fault_free_parallel_run_reports_no_recovery(self, tmp_path):
-        corpus = _shard_corpus(tmp_path / "shards", disks=2, per_disk=50)
-        result = ShardedReplay(corpus, jobs=2).run()
-        assert result.recovered_shards == ()
-        assert result.to_dict() == ShardedReplay(corpus,
-                                                 jobs=1).run().to_dict()

@@ -455,6 +455,22 @@ class TestFleetTree:
             assert root.info()["epochs_applied_total"] == 1
             assert root.duplicate_frames_total == 1
 
+    def test_close_does_not_wait_out_an_idle_child(self):
+        """A child that sent one snapshot and keeps its connection open
+        leaves a handler thread blocked in a read; ``close()`` must shut
+        the socket down, not sit in that thread's join timeout."""
+        root = FleetAggregator(port=0, node="root").start()
+        (header, payload), _ = _host_epochs("esx-a", 1)[0][0], None
+        with socket.create_connection(root.address) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(pack_snapshot("link-1", 1, header, payload))
+            assert read_frame(rfile)[0] == FRAME_OK
+            begin = time.monotonic()
+            root.close()
+            assert time.monotonic() - begin < 1.0
+            assert not any(t.is_alive() for t in root._conn_threads)
+            assert not root._conns
+
     def test_sequence_gap_and_unknown_session_rejected(self):
         with FleetAggregator(port=0, node="root") as root:
             (header, payload), _ = _host_epochs("esx-a", 1)[0][0], None

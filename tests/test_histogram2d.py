@@ -73,11 +73,6 @@ class TestAggregation:
         series.insert(seconds(7), 5)
         assert series.slot_counts() == [2, 1]
 
-    def test_nonzero_cells(self, series):
-        series.insert(seconds(0), 5)
-        series.insert(seconds(7), 15)
-        assert series.nonzero_cells() == [(0, "10", 1), (1, "20", 1)]
-
 
 class TestRateVariation:
     def test_steady_rate_has_low_variation(self, series):

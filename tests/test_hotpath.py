@@ -1,12 +1,11 @@
 """Property tests for the batched hot path.
 
 The batched ingestion machinery (the ``Histogram.insert_many`` kernel,
-the bin-lookup table, ``LookBehindWindow.observe_many``, the columnar
-collector/service hooks and the vSCSI burst path) is only admissible
-because it is *exactly* equivalent to the scalar path.  These tests
-state that equivalence as properties: for arbitrary inputs and
-arbitrary batch boundaries, batched and scalar ingestion must leave
-byte-identical state behind.
+the bin-lookup table, ``LookBehindWindow.observe_many`` and the
+columnar collector hooks) is only admissible because it is *exactly*
+equivalent to the scalar path.  These tests state that equivalence as
+properties: for arbitrary inputs and arbitrary batch boundaries,
+batched and scalar ingestion must leave byte-identical state behind.
 
 There are two tiers — the scalar hooks and the numpy kernels — and one
 size rule (``BATCH_CROSSOVER``) choosing between them, so every
@@ -33,20 +32,14 @@ from repro.core.bins import (
 from repro.core.collector import VscsiStatsCollector
 from repro.core.histogram import BATCH_CROSSOVER, Histogram
 from repro.core.histogram2d import TimeSeriesHistogram
-from repro.core.service import HistogramService
 from repro.core.tracing import TraceRecord, replay_into_collector
 from repro.core.window import LookBehindWindow
-from repro.hypervisor.esx import EsxServer
-from repro.scsi.request import ScsiRequest
 from repro.sim.engine import Engine
 from repro.parallel.trace_io import (
     TraceColumns,
     records_to_columns,
     replay_columns,
 )
-from repro.storage.array import clariion_cx3
-
-GIB = 1024**3
 
 ALL_SCHEMES = [IO_LENGTH_BINS, SEEK_DISTANCE_BINS, LATENCY_US_BINS,
                OUTSTANDING_IO_BINS]
@@ -418,33 +411,8 @@ class TestBatchedReplay:
         batched = replay_columns(cols)
         assert canon(batched.to_dict()) == canon(scalar.to_dict())
 
-    def test_service_batch_hooks_noop_when_disabled(self):
-        service = HistogramService()
-        service.record_issue_batch("vm", "d", [1], [True], [0], [8], [0])
-        service.record_complete_batch("vm", "d", [1], [True], [100])
-        assert service.collector("vm", "d") is None
-
-    def test_service_batch_hooks_match_scalar_hooks(self):
-        scalar = HistogramService()
-        batched = HistogramService()
-        scalar.enable()
-        batched.enable()
-        rows = [(1000 * i, i % 3 != 0, 64 * i, 8, i % 4)
-                for i in range(50)]
-        for row in rows:
-            scalar.record_issue("vm", "d", *row)
-            scalar.record_complete("vm", "d", row[0] + 500, row[1], 500)
-        cols = list(zip(*rows))
-        batched.record_issue_batch("vm", "d", *cols)
-        batched.record_complete_batch(
-            "vm", "d", [t + 500 for t in cols[0]], list(cols[1]), [500] * 50
-        )
-        assert canon(batched.collector("vm", "d").to_dict()) == \
-            canon(scalar.collector("vm", "d").to_dict())
-
-
 # ----------------------------------------------------------------------
-# Engine pending-event accounting and batch scheduling
+# Engine pending-event accounting
 # ----------------------------------------------------------------------
 class TestEngineAccounting:
     def brute_pending(self, engine):
@@ -463,9 +431,8 @@ class TestEngineAccounting:
                 handles.append(engine.schedule(arg, lambda: None))
             elif op == "batch":
                 now = engine.now
-                handles.extend(engine.schedule_at_batch(
-                    [(now + arg + i, lambda: None) for i in range(3)]
-                ))
+                handles.extend(engine.schedule_at(now + arg + i, lambda: None)
+                               for i in range(3))
             elif op == "cancel" and handles:
                 handles[arg % len(handles)].cancel()
             elif op == "step":
@@ -483,26 +450,6 @@ class TestEngineAccounting:
         handle.cancel()
         assert engine.pending_events() == 0
 
-    def test_batch_scheduling_fires_in_time_then_seq_order(self):
-        engine = Engine()
-        fired = []
-        engine.schedule_at_batch([
-            (10, lambda: fired.append("a")),
-            (5, lambda: fired.append("b")),
-            (10, lambda: fired.append("c")),
-        ])
-        engine.schedule_at(10, lambda: fired.append("d"))
-        engine.run()
-        assert fired == ["b", "a", "c", "d"]
-
-    def test_batch_scheduling_rejects_past_times(self):
-        engine = Engine()
-        engine.schedule_at(5, engine.stop)
-        engine.run()
-        from repro.sim.engine import SimulationError
-        with pytest.raises(SimulationError):
-            engine.schedule_at_batch([(0, lambda: None)])
-
     def test_same_time_run_drains_in_one_pass(self):
         engine = Engine()
         fired = []
@@ -514,50 +461,3 @@ class TestEngineAccounting:
             7, lambda: fired.append("late")))
         engine.run()
         assert fired == [0, 1, 2, 3, 4, "late"]
-
-
-# ----------------------------------------------------------------------
-# vSCSI burst issue
-# ----------------------------------------------------------------------
-def _fresh_device(queue_depth=None):
-    engine = Engine()
-    esx = EsxServer(engine)
-    esx.add_array(clariion_cx3(engine, read_cache=False))
-    vm = esx.create_vm("vm1")
-    device = esx.create_vdisk(vm, "scsi0:0", esx.array("cx3"), 2 * GIB)
-    if queue_depth is not None:
-        device.queue.depth_limit = queue_depth
-    esx.stats.enable()
-    return engine, esx, device
-
-
-class TestIssueBurst:
-    @pytest.mark.parametrize("queue_depth", [None, 4])
-    def test_burst_equals_issue_loop(self, queue_depth):
-        specs = [(i % 2 == 0, 16 * i, 16) for i in range(32)]
-
-        engine_a, esx_a, dev_a = _fresh_device(queue_depth)
-        for is_read, lba, nb in specs:
-            dev_a.issue(ScsiRequest(is_read, lba, nb))
-        engine_a.run()
-
-        engine_b, esx_b, dev_b = _fresh_device(queue_depth)
-        dev_b.issue_burst([ScsiRequest(is_read, lba, nb)
-                           for is_read, lba, nb in specs])
-        engine_b.run()
-
-        snap_a = esx_a.collector_for("vm1", "scsi0:0").to_dict()
-        snap_b = esx_b.collector_for("vm1", "scsi0:0").to_dict()
-        assert canon(snap_b) == canon(snap_a)
-        assert dev_b.commands == dev_a.commands == len(specs)
-
-    def test_burst_cols_cleared_after_failure(self):
-        engine, esx, device = _fresh_device()
-        bad = [ScsiRequest(True, 0, 16), None]  # None explodes in submit
-        with pytest.raises(AttributeError):
-            device.issue_burst(bad)
-        assert device._burst_cols is None
-        # The device must still work scalar-style afterwards.
-        device.issue(ScsiRequest(True, 64, 16))
-        engine.run()
-        assert esx.collector_for("vm1", "scsi0:0").commands >= 1

@@ -81,7 +81,7 @@ _DISKS = [("vm0", "scsi0:0"), ("vm0", "scsi0:1"),
 
 def _publish_all(client, per_disk, frame_records=500):
     for (vm, vdisk), records in per_disk.items():
-        result = client.publish_records(vm, vdisk, records,
+        result = client.publish_columns(vm, vdisk, records_to_columns(records),
                                         frame_records=frame_records)
         assert result["accepted"] == len(records), result
 
@@ -447,13 +447,15 @@ class TestClusterEndToEnd:
         with ClusterServer(workers=2) as cluster:
             with LiveStatsClient(*cluster.address) as client:
                 client.disable()
-                result = client.publish_records(
-                    "vmX", "d0", _records(200), frame_records=100)
+                result = client.publish_columns(
+                    "vmX", "d0", records_to_columns(_records(200)),
+                    frame_records=100)
                 assert result["accepted"] == 0
                 assert result["ignored"] == 200
                 client.enable()
-                result = client.publish_records(
-                    "vmX", "d0", _records(200), frame_records=100)
+                result = client.publish_columns(
+                    "vmX", "d0", records_to_columns(_records(200)),
+                    frame_records=100)
                 assert result["accepted"] == 200
 
 
@@ -568,8 +570,8 @@ class TestReconnectHello:
         host, port = first.address
         client = LiveStatsClient(host, port)
         try:
-            result = client.publish_records("vm", "d", records,
-                                            frame_records=1000)
+            result = client.publish_columns(
+                "vm", "d", records_to_columns(records), frame_records=1000)
             assert result["frames"] == 1  # seq=1, acked
             first.close()
             # A "brand-new server process" on the same address: fresh
@@ -616,13 +618,15 @@ class TestReconnectHello:
         host, port = first.address
         client = LiveStatsClient(host, port)
         try:
-            client.publish_records("vm", "d", _records(200),
-                                   frame_records=1000)
+            client.publish_columns(
+                "vm", "d", records_to_columns(_records(200)),
+                frame_records=1000)
             first.close()
             second = LiveStatsServer(port=port, shards=1).start()
             try:
-                result = client.publish_records(
-                    "vm", "d", _records(200, start_serial=200),
+                result = client.publish_columns(
+                    "vm", "d",
+                    records_to_columns(_records(200, start_serial=200)),
                     frame_records=1000)
                 assert result["accepted"] == 200
                 assert second.records_total == 200

@@ -69,8 +69,9 @@ class TestEndToEnd:
         records = _records(5000)
         splits = [0, 1500, 1501, 5000]
         for lo, hi in zip(splits, splits[1:]):
-            result = client.publish_records("vm0", "d0", records[lo:hi],
-                                            frame_records=700)
+            result = client.publish_columns(
+                "vm0", "d0", records_to_columns(records[lo:hi]),
+                frame_records=700)
             assert result["accepted"] == hi - lo
             rotated = client.rotate()
             assert rotated["records"] == hi - lo
@@ -82,9 +83,9 @@ class TestEndToEnd:
 
     def test_unsealed_epoch_included_in_scope_all(self, server, client):
         records = _records(800)
-        client.publish_records("vm0", "d0", records[:500])
+        client.publish_columns("vm0", "d0", records_to_columns(records[:500]))
         client.rotate()
-        client.publish_records("vm0", "d0", records[500:])
+        client.publish_columns("vm0", "d0", records_to_columns(records[500:]))
         snap = client.snapshot(scope="all")
         offline = replay_columns(records_to_columns(records))
         assert snap["disks"]["vm0/d0"] == offline.to_dict()
@@ -92,11 +93,11 @@ class TestEndToEnd:
         assert current["disks"]["vm0/d0"]["commands"] == 300
 
     def test_snapshot_by_epoch_index(self, server, client):
-        client.publish_records("vm0", "d0", _records(100))
+        client.publish_columns("vm0", "d0", records_to_columns(_records(100)))
         client.rotate()
-        client.publish_records("vm0", "d0",
-                               _records(50, start_serial=100,
-                                        start_ns=10**9))
+        client.publish_columns(
+            "vm0", "d0",
+            records_to_columns(_records(50, start_serial=100, start_ns=10**9)))
         client.rotate()
         assert client.snapshot(scope="epoch", epoch=0)["records"] == 100
         assert client.snapshot(scope="epoch")["records"] == 50  # last
@@ -108,8 +109,8 @@ class TestEndToEnd:
     def test_multi_disk_aggregate(self, server, client):
         a = _records(400, seed=1)
         b = _records(300, seed=2)
-        client.publish_records("vm1", "d0", a)
-        client.publish_records("vm2", "d0", b)
+        client.publish_columns("vm1", "d0", records_to_columns(a))
+        client.publish_columns("vm2", "d0", records_to_columns(b))
         snap = client.snapshot(scope="all", aggregate=True)
         assert set(snap["disks"]) == {"vm1/d0", "vm2/d0"}
         assert snap["aggregate"]["commands"] == 700
@@ -117,8 +118,9 @@ class TestEndToEnd:
     def test_concurrent_clients(self, server):
         def publish(vm, seed):
             with LiveStatsClient(*server.address) as cli:
-                cli.publish_records(vm, "d0", _records(500, seed=seed),
-                                    frame_records=64)
+                cli.publish_columns(
+                    vm, "d0", records_to_columns(_records(500, seed=seed)),
+                    frame_records=64)
 
         threads = [threading.Thread(target=publish, args=(f"vm{i}", i))
                    for i in range(4)]
@@ -140,11 +142,12 @@ class TestOpenMetrics:
 
     def test_exposition_parses_and_buckets_are_cumulative(self, server,
                                                           client):
-        client.publish_records("vm0", "d0", _records(2000))
+        client.publish_columns("vm0", "d0", records_to_columns(_records(2000)))
         client.rotate()
-        client.publish_records("vm0", "d0",
-                               _records(500, start_serial=2000,
-                                        start_ns=10**10))
+        client.publish_columns(
+            "vm0", "d0",
+            records_to_columns(_records(500, start_serial=2000,
+                                        start_ns=10**10)))
         text = client.metrics()
         assert text.endswith("# EOF\n")
 
@@ -180,7 +183,7 @@ class TestOpenMetrics:
         assert "live_ingest_records_total 2500" in text
 
     def test_type_lines_precede_samples(self, server, client):
-        client.publish_records("vm0", "d0", _records(50))
+        client.publish_columns("vm0", "d0", records_to_columns(_records(50)))
         lines = client.metrics().splitlines()
         seen_types = set()
         for line in lines:
@@ -211,9 +214,10 @@ class TestRobustness:
 
     def test_out_of_order_frame_rejected_batchwise(self, server, client):
         records = _records(200)
-        client.publish_records("vm0", "d0", records[100:])
+        client.publish_columns("vm0", "d0", records_to_columns(records[100:]))
         with pytest.raises(LiveError, match="out-of-order"):
-            client.publish_records("vm0", "d0", records[:100])
+            client.publish_columns(
+                "vm0", "d0", records_to_columns(records[:100]))
         assert client.info()["records_total"] == 100
         assert client.info()["rejected_frames_total"] == 1
         snap = client.snapshot(scope="all")
@@ -288,7 +292,8 @@ class TestRobustness:
         srv.start()
         records = _records(600)
         with LiveStatsClient(*srv.address) as cli:
-            cli.publish_records("vm0", "d0", records, frame_records=100)
+            cli.publish_columns(
+                "vm0", "d0", records_to_columns(records), frame_records=100)
         srv.close()  # drain=True: the unsealed epoch must survive
         snap = srv.snapshot_dict(scope="all")
         offline = replay_columns(records_to_columns(records))
@@ -299,12 +304,14 @@ class TestRobustness:
 class TestEnableDisable:
     def test_global_disable_ignores_traffic(self, server, client):
         client.disable()
-        result = client.publish_records("vm0", "d0", _records(40))
+        result = client.publish_columns(
+            "vm0", "d0", records_to_columns(_records(40)))
         assert result["ignored"] == 40
         assert result["accepted"] == 0
         client.enable()
-        assert client.publish_records(
-            "vm0", "d0", _records(40, start_ns=10**9, start_serial=40)
+        assert client.publish_columns(
+            "vm0", "d0",
+            records_to_columns(_records(40, start_ns=10**9, start_serial=40))
         )["accepted"] == 40
         assert client.info()["ignored_records_total"] == 40
 
@@ -312,17 +319,20 @@ class TestEnableDisable:
         with LiveStatsServer(port=0, start_enabled=False) as srv:
             with LiveStatsClient(*srv.address) as cli:
                 cli.enable(vm="vm1", vdisk="d0")
-                assert cli.publish_records("vm1", "d0",
-                                           _records(30))["accepted"] == 30
-                assert cli.publish_records("vm2", "d0",
-                                           _records(30))["ignored"] == 30
+                assert cli.publish_columns(
+                    "vm1", "d0", records_to_columns(_records(30))
+                )["accepted"] == 30
+                assert cli.publish_columns(
+                    "vm2", "d0", records_to_columns(_records(30))
+                )["ignored"] == 30
                 # Satellite regression, over the wire: disabling a disk
                 # that was never enabled is a no-op and must not mask a
                 # later global enable.
                 cli.disable(vm="vm3", vdisk="d0")
                 cli.enable()
-                assert cli.publish_records("vm3", "d0",
-                                           _records(30))["accepted"] == 30
+                assert cli.publish_columns(
+                    "vm3", "d0", records_to_columns(_records(30))
+                )["accepted"] == 30
 
     def test_rotate_with_no_traffic_is_legal(self, server, client):
         first = client.rotate()

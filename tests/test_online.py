@@ -416,8 +416,9 @@ class TestServerWiring:
         config = DriftConfig(hysteresis_k=1, min_commands=50)
         with LiveStatsServer(port=0, online=config) as srv:
             with LiveStatsClient(*srv.address) as cli:
-                cli.publish_records("vm0", "d0", _records(600),
-                                    frame_records=200)
+                cli.publish_columns(
+                    "vm0", "d0", records_to_columns(_records(600)),
+                    frame_records=200)
                 cli.rotate()
                 doc = cli.verdicts()
                 assert doc["online"] is True
@@ -442,13 +443,14 @@ class TestServerWiring:
         analyzer's fold over the persisted epoch sequence."""
         with LiveStatsServer(port=0, store=tmp_path / "store") as srv:
             with LiveStatsClient(*srv.address) as cli:
-                cli.publish_records("vm0", "d0", _records(600),
-                                    frame_records=200)
+                cli.publish_columns(
+                    "vm0", "d0", records_to_columns(_records(600)),
+                    frame_records=200)
                 cli.rotate()
-                cli.publish_records(
+                cli.publish_columns(
                     "vm0", "d0",
-                    _records(600, seed=11, start_serial=600,
-                             start_ns=10 ** 12),
+                    records_to_columns(_records(600, seed=11, start_serial=600,
+                             start_ns=10 ** 12)),
                     frame_records=200)
                 cli.rotate()
                 live = cli.verdicts()

@@ -74,13 +74,6 @@ class TestDirtyTracking:
         cache.fill(1, [0])     # fill of a dirty page must not lose dirt
         assert cache.dirty_pages() == {(1, 0)}
 
-    def test_invalidate_file(self, cache):
-        cache.fill(1, [0, 1])
-        cache.fill(2, [0])
-        cache.invalidate_file(1)
-        assert cache.lookup(1, 0, 4096) == [0]
-        assert cache.lookup(2, 0, 4096) == []
-
     def test_hit_rate(self, cache):
         cache.fill(1, [0])
         cache.lookup(1, 0, 4096)

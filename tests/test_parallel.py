@@ -1,4 +1,4 @@
-"""Tests for the multi-core scale-out subsystem (``repro.parallel``).
+"""Tests for columnar trace I/O and the merge algebra (``repro.parallel``).
 
 The headline property: partition a set of per-vdisk command streams
 across shards *however you like* (each stream kept whole), replay each
@@ -24,16 +24,12 @@ from repro.core.tracing import (
 )
 from repro.live.protocol import columns_to_bytes
 from repro.parallel import (
-    ShardedReplay,
     TraceColumns,
     columns_to_records,
     load_manifest,
-    partition_segments,
-    pick_start_method,
     read_binary_columns,
     records_to_columns,
     replay_columns,
-    replay_sharded,
     write_binary_columns,
     write_shards,
 )
@@ -158,84 +154,6 @@ class TestWriteShards:
     def test_missing_manifest_detected(self, tmp_path):
         with pytest.raises(ValueError):
             load_manifest(tmp_path)
-
-
-class TestPartitionSegments:
-    def test_exactly_jobs_shards_and_nothing_lost(self):
-        segments = [{"file": f"{i}.t", "records": (i * 13) % 50 + 1}
-                    for i in range(9)]
-        shards = partition_segments(segments, 4)
-        assert len(shards) == 4
-        flat = [s["file"] for shard in shards for s in shard]
-        assert sorted(flat) == sorted(s["file"] for s in segments)
-
-    def test_more_jobs_than_segments_leaves_empty_shards(self):
-        segments = [{"file": "a.t", "records": 5}]
-        shards = partition_segments(segments, 3)
-        assert sum(len(s) for s in shards) == 1
-        assert sum(not s for s in shards) == 2
-
-    def test_balances_by_record_count(self):
-        segments = [{"file": "big.t", "records": 100},
-                    {"file": "s1.t", "records": 40},
-                    {"file": "s2.t", "records": 40}]
-        shards = partition_segments(segments, 2)
-        loads = sorted(sum(s["records"] for s in shard) for shard in shards)
-        assert loads == [80, 100]
-
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            partition_segments([], 0)
-
-
-class TestShardedReplay:
-    def make_corpus(self, tmp_path, sizes):
-        streams = {
-            (f"vm{i // 2}", f"scsi0:{i % 2}"): stream(n, i + 1)
-            for i, n in enumerate(sizes)
-        }
-        write_shards(streams, tmp_path)
-        return streams
-
-    def expected_snapshot(self, streams):
-        # An empty stream still yields a (zeroed) collector: the disk
-        # is in the manifest, so the replay reports it.
-        return {
-            f"{vm}/{vdisk}": replay_serial(records).to_dict()
-            for (vm, vdisk), records in streams.items()
-        }
-
-    def test_inline_jobs1_matches_serial(self, tmp_path):
-        streams = self.make_corpus(tmp_path, [40, 25, 0, 7])
-        result = ShardedReplay(tmp_path, jobs=1).run()
-        assert result.to_dict() == self.expected_snapshot(streams)
-
-    def test_multiworker_matches_serial(self, tmp_path):
-        streams = self.make_corpus(tmp_path, [30, 20, 10])
-        result = replay_sharded(tmp_path, jobs=2)
-        assert result.to_dict() == self.expected_snapshot(streams)
-
-    def test_more_workers_than_segments(self, tmp_path):
-        streams = self.make_corpus(tmp_path, [15, 5])
-        result = replay_sharded(tmp_path, jobs=6)
-        assert result.to_dict() == self.expected_snapshot(streams)
-
-    def test_aggregate_property(self, tmp_path):
-        streams = self.make_corpus(tmp_path, [20, 20])
-        result = ShardedReplay(tmp_path, jobs=1).run()
-        direct = None
-        for records in streams.values():
-            collector = replay_serial(records)
-            direct = collector if direct is None else direct.merge(collector)
-        assert result.aggregate.to_dict() == direct.to_dict()
-
-    def test_rejects_bad_jobs(self, tmp_path):
-        self.make_corpus(tmp_path, [2])
-        with pytest.raises(ValueError):
-            ShardedReplay(tmp_path, jobs=0)
-
-    def test_pick_start_method_is_available(self):
-        assert pick_start_method() in ("fork", "spawn")
 
 
 class TestPartitionInvariance:

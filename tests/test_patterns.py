@@ -132,7 +132,7 @@ class TestClosedLoop:
         workload.start()
         with pytest.raises(RuntimeError):
             workload.start()
-        bed.engine.run_for(200_000_000)  # 200 ms
+        bed.engine.run(until=200_000_000)  # 200 ms
         assert workload.completed > 0
         collector = bed.esx.collector_for("vm1", "scsi0:0")
         mode = collector.outstanding.all.mode_label()
@@ -153,7 +153,7 @@ class TestClosedLoop:
         workload = PatternWorkload(bed.engine, device, STRIDED_READ,
                                    rng=random.Random(2))
         workload.start()
-        bed.engine.run_for(100_000_000)
+        bed.engine.run(until=100_000_000)
         assert workload.iops() > 0
         assert workload.mbps() > 0
 
@@ -162,7 +162,7 @@ class TestClosedLoop:
         workload = PatternWorkload(bed.engine, device, ZIPFIAN_WRITE,
                                    rng=random.Random(3))
         workload.start()
-        bed.engine.run_for(400_000_000)
+        bed.engine.run(until=400_000_000)
         collector = bed.esx.collector_for("vm1", "scsi0:0")
         reads = collector.read_commands / collector.commands
         assert 0.1 < reads < 0.3  # spec.read_fraction = 0.2

@@ -125,14 +125,3 @@ class TestDrift:
         assert max(drift) > 0.5
         # And the spike is at the switch boundary, not elsewhere.
         assert drift.index(max(drift)) in (1, 2, 3)
-
-    def test_iops_series(self, harness):
-        harness.esx.stats.enable()
-        start_workload(harness)
-        sampler = IntervalSampler(harness.engine, harness.esx.stats,
-                                  interval_ns=seconds(1))
-        sampler.start()
-        harness.run(until=seconds(3))
-        series = sampler.iops_series("vm1", "scsi0:0")
-        assert len(series) == 3
-        assert all(iops > 0 for _index, iops in series)

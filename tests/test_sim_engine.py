@@ -141,13 +141,6 @@ class TestRun:
         engine.run(until=us(50))
         assert seen == [1]
 
-    def test_run_for_is_relative(self):
-        engine = Engine()
-        engine.schedule(us(10), lambda: None)
-        engine.run()
-        engine.run_for(us(5))
-        assert engine.now == us(15)
-
     def test_run_drains_queue(self):
         engine = Engine()
         for index in range(10):

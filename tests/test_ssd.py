@@ -199,9 +199,8 @@ class TestSsdArray:
     def test_parallel_channels_beat_serial_service(self):
         engine, ssd = self._array()
         done = []
-        ops = [(i * 8, 8, False, lambda: done.append(engine.now))
-               for i in range(4)]
-        ssd.submit_batch(ops)
+        for i in range(4):
+            ssd.submit(i * 8, 8, False, lambda: done.append(engine.now))
         engine.run()
         assert len(done) == 4
         # Round-robin striping: 4 pages land on 4 distinct channels and

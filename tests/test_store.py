@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.collector import VscsiStatsCollector
 from repro.core.service import HistogramService
 from repro.live.epochs import EpochLedger
+from repro.parallel import records_to_columns
 from repro.store import (
     DEFAULT_TIERS_NS,
     HistogramStore,
@@ -585,7 +586,7 @@ class TestLedgerIntegration:
         ledger = EpochLedger(max_epochs=1)
         ledger.seal([(("vm", "d"), simple_collector(1))])
         with HistogramStore.create(tmp_path / "s") as store:
-            ledger.attach_store(store)
+            ledger.store = store
             # Sealing a second epoch retires the first, which must be
             # written out before it is folded into the aggregate.
             ledger.seal([(("vm", "d"), simple_collector(2))])
@@ -640,11 +641,13 @@ class TestServerIntegration:
         with LiveStatsServer(port=0, shards=1,
                              store=str(store_path)) as server:
             with LiveStatsClient(*server.address) as client:
-                client.publish_records("vm0", "d0", _records(200))
+                client.publish_columns(
+                    "vm0", "d0", records_to_columns(_records(200)))
                 client.rotate()
-                client.publish_records("vm0", "d0",
-                                       _records(100, start_serial=200,
-                                                start_ns=10**9))
+                client.publish_columns(
+                    "vm0", "d0",
+                    records_to_columns(_records(100, start_serial=200,
+                                                start_ns=10**9)))
                 client.rotate()
                 info = client.info()
                 assert info["store"]["epochs"] == 2
@@ -664,7 +667,8 @@ class TestServerIntegration:
         with LiveStatsServer(port=0, shards=1,
                              store=str(tmp_path / "h")) as server:
             with LiveStatsClient(*server.address) as client:
-                client.publish_records("vm0", "d0", _records(50))
+                client.publish_columns(
+                    "vm0", "d0", records_to_columns(_records(50)))
         server.close()
         with pytest.raises(ValueError, match="closed"):
             server.rotate()
@@ -683,10 +687,10 @@ class TestServerIntegration:
         try:
             with LiveStatsClient(*server.address) as client:
                 for i in range(10):
-                    client.publish_records(
+                    client.publish_columns(
                         "vm0", "d0",
-                        _records(20, start_serial=i * 20,
-                                 start_ns=i * 10**8),
+                        records_to_columns(_records(20, start_serial=i * 20,
+                                 start_ns=i * 10**8)),
                     )
         finally:
             server.close()
