@@ -138,30 +138,6 @@ class MetricFamily:
             "writes": self.writes.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict, name: Optional[str] = None) -> "MetricFamily":
-        """Inverse of :meth:`to_dict`.
-
-        Only ``reads`` and ``writes`` are restored (``all`` is derived,
-        exactly as it is online).  ``name`` overrides the family name
-        recovered from the reads histogram's ``<name>_reads`` label.
-        """
-        reads = Histogram.from_dict(data["reads"])
-        writes = Histogram.from_dict(data["writes"])
-        if reads.scheme != writes.scheme:
-            raise ValueError(
-                f"reads scheme {reads.scheme.name!r} does not match "
-                f"writes scheme {writes.scheme.name!r}"
-            )
-        if name is None:
-            name = reads.name
-            if name.endswith("_reads"):
-                name = name[: -len("_reads")]
-        family = cls(reads.scheme, name)
-        family.reads = reads
-        family.writes = writes
-        return family
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MetricFamily)
@@ -626,50 +602,6 @@ class VscsiStatsCollector:
         if self.latency_over_time is not None:
             data["latency_over_time"] = self.latency_over_time.to_dict()
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "VscsiStatsCollector":
-        """Inverse of :meth:`to_dict` — an *aggregate snapshot*.
-
-        Like :meth:`merge`, the restored collector carries no stream
-        coupling state (previous end block, look-behind ring, last
-        arrival): that state is deliberately not exported, so a
-        deserialized snapshot is for querying and merging, not for
-        continuing the command stream.  Documents written before the
-        configuration keys existed restore with the defaults (and the
-        time-series interval when present).
-        """
-        time_slot_ns = data.get("time_slot_ns")
-        if time_slot_ns is None:
-            series = data.get("outstanding_over_time")
-            time_slot_ns = series["interval_ns"] if series else 0
-        collector = cls(
-            window_size=data.get("window_size", DEFAULT_WINDOW_SIZE),
-            time_slot_ns=time_slot_ns,
-        )
-        for name in collector.families():
-            family_data = data["families"].get(name)
-            if family_data is None:
-                if name in EXTENDED_FAMILIES:
-                    # Snapshot predates this family: it stays empty,
-                    # which is exactly what the writer observed.
-                    continue
-                raise ValueError(f"snapshot is missing family {name!r}")
-            setattr(collector, name,
-                    MetricFamily.from_dict(family_data, name=name))
-        for series_name in ("outstanding_over_time", "latency_over_time"):
-            series = data.get(series_name)
-            if series is not None:
-                setattr(collector, series_name,
-                        TimeSeriesHistogram.from_dict(series))
-        collector.commands = data["commands"]
-        collector.read_commands = data["read_commands"]
-        collector.write_commands = data["write_commands"]
-        collector.bytes_read = data["bytes_read"]
-        collector.bytes_written = data["bytes_written"]
-        collector.first_arrival_ns = data.get("first_arrival_ns")
-        collector.last_arrival_ns = data.get("last_arrival_ns")
-        return collector
 
     def __eq__(self, other: object) -> bool:
         """Snapshot equality: configuration, every exported statistic.

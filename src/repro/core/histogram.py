@@ -263,24 +263,6 @@ class Histogram:
             "max": self.max,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Histogram":
-        """Inverse of :meth:`to_dict`."""
-        scheme = BinScheme(data["scheme"], data["edges"], data.get("unit", ""))
-        hist = cls(scheme, name=data.get("name"))
-        counts = list(data["counts"])
-        if len(counts) != scheme.num_bins:
-            raise ValueError(
-                f"counts length {len(counts)} does not match scheme "
-                f"with {scheme.num_bins} bins"
-            )
-        hist.counts = counts
-        hist.count = data["count"]
-        hist.total = data["total"]
-        hist.min = data["min"]
-        hist.max = data["max"]
-        return hist
-
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         return (

@@ -230,26 +230,6 @@ class TimeSeriesHistogram:
             "slots": {str(k): v.to_dict() for k, v in self._slots.items()},
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "TimeSeriesHistogram":
-        """Inverse of :meth:`to_dict`."""
-        scheme = BinScheme(data["scheme"], data["edges"], data.get("unit", ""))
-        series = cls(scheme, data["interval_ns"], name=data.get("name"))
-        for key, hist_data in data["slots"].items():
-            slot = int(key)
-            if slot < 0:
-                raise ValueError(f"negative time slot {slot}")
-            hist = Histogram.from_dict(hist_data)
-            if hist.scheme != scheme:
-                raise ValueError(
-                    f"slot {slot} scheme {hist.scheme.name!r} does not "
-                    f"match series scheme {scheme.name!r}"
-                )
-            series._slots[slot] = hist
-            if slot > series._max_slot:
-                series._max_slot = slot
-        return series
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<TimeSeriesHistogram {self.name!r} slots={self.num_slots} "

@@ -200,7 +200,7 @@ class HistogramService:
         Unlike :meth:`export_json` (whose ``vm/vdisk`` keys are the
         historical export format), disks are listed as explicit
         ``{"vm", "vdisk", "stats"}`` entries so names containing ``/``
-        round-trip exactly.
+        stay unambiguous.
         """
         return {
             "window_size": self.window_size,
@@ -211,26 +211,6 @@ class HistogramService:
                 for (vm, vdisk), collector in self.collectors()
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "HistogramService":
-        """Inverse of :meth:`to_dict`.
-
-        Restored collectors are aggregate snapshots (see
-        :meth:`VscsiStatsCollector.from_dict`); the per-disk enable
-        registry is gating state, not data, and is not serialized.
-        """
-        service = cls(window_size=data["window_size"],
-                      time_slot_ns=data["time_slot_ns"])
-        service.enabled = bool(data.get("enabled", False))
-        for entry in data["disks"]:
-            key = (entry["vm"], entry["vdisk"])
-            if key in service._collectors:
-                raise ValueError(f"duplicate disk entry {key!r}")
-            service._collectors[key] = VscsiStatsCollector.from_dict(
-                entry["stats"]
-            )
-        return service
 
     def __eq__(self, other: object) -> bool:
         """Snapshot equality: configuration and per-disk collectors."""

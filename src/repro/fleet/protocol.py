@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..live.protocol import (
     FRAME_ERROR,
@@ -45,11 +45,12 @@ from ..live.protocol import (
     FRAME_TEXT,
     MAX_FRAME_BYTES,
     ProtocolError,
+    encode_extents,
     pack_control,
     pack_frame,
     read_frame,
+    snapshot_extents,
 )
-from ..store.codec import collector_to_bytes
 
 __all__ = [
     "FRAME_SNAPSHOT",
@@ -181,18 +182,11 @@ def encode_host_snapshot(host: str, epoch) -> Tuple[Dict, bytes]:
     """Encode one sealed :class:`~repro.live.epochs.Epoch` for ``host``.
 
     Each disk's collector becomes one ``RPHCOL2`` record and an extent
-    entry.  ``sealed_unix`` rides along so every aggregator up the
-    tree can measure snapshot staleness against its own clock.
+    entry (:func:`~repro.live.protocol.encode_extents`).
+    ``sealed_unix`` rides along so every aggregator up the tree can
+    measure snapshot staleness against its own clock.
     """
-    disks: List[Dict] = []
-    chunks: List[bytes] = []
-    offset = 0
-    for (vm, vdisk), collector in epoch.service.collectors():
-        record = collector_to_bytes(collector)
-        disks.append({"vm": vm, "vdisk": vdisk,
-                      "off": offset, "len": len(record)})
-        chunks.append(record)
-        offset += len(record)
+    disks, payload = encode_extents(epoch.service.collectors())
     header = {
         "host": host,
         "epoch": epoch.index,
@@ -202,23 +196,12 @@ def encode_host_snapshot(host: str, epoch) -> Tuple[Dict, bytes]:
         "sealed_unix": epoch.sealed_unix,
         "disks": disks,
     }
-    payload = b"".join(chunks)
     if 23 + len(payload) > MAX_FRAME_BYTES:  # pragma: no cover - huge hosts
         raise ProtocolError(
             f"snapshot payload of {len(payload)} bytes exceeds the frame "
             f"ceiling; rotate more often or split the host"
         )
     return header, payload
-
-
-def snapshot_extents(header: Dict,
-                     payload) -> Iterator[Tuple[Tuple[str, str], bytes]]:
-    """Yield ``((vm, vdisk), record bytes)`` per extent, zero-copy
-    sliced out of ``payload``."""
-    view = memoryview(payload)
-    for extent in header["disks"]:
-        key = (extent["vm"], extent["vdisk"])
-        yield key, bytes(view[extent["off"]:extent["off"] + extent["len"]])
 
 
 def parse_parents(spec: Union[str, List]) -> List[Tuple[str, int]]:

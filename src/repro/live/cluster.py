@@ -14,7 +14,7 @@ Topology::
                  ▼               ▼               ▼
            worker 0        worker 1   ...   worker N-1      (processes)
            LiveStatsServer (unchanged shard loop, 1 ledger epoch)
-                 │ sealed-epoch snapshots (RPHCOL2 frames over a pipe)
+                 │ epoch snapshots (RPHCOL2 frames over a pipe)
                  ▼               ▼               ▼
            ──────────────── fan-in pipes ────────────────
                             coordinator                      (this process)
@@ -39,6 +39,12 @@ Topology::
   payload merge (:func:`repro.store.codec.merge_collector_payloads`),
   seals them into its own :class:`~repro.live.epochs.EpochLedger`, and
   alone owns the durable store writer and the exposition.
+* The live (unsealed) epoch crosses the same pipes in the same
+  format: a scrape (``snapshot``, ``metrics``) asks every worker for
+  its live epoch (``worker-current``), each answers with a snapshot
+  frame marked ``current``, and the coordinator merges those exactly
+  as it merges a sealed round.  Names travel in the extents, never
+  inside a record, so any ``vm``/``vdisk`` name is carried exactly.
 * A dead worker (pipe EOF without a BYE) bumps the route generation:
   the ring is rebuilt over the survivors and broadcast, publishers get
   redirected to the new owners and replay unacked ``DATA_SEQ`` frames
@@ -67,11 +73,11 @@ import zlib
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from ..core.collector import DEFAULT_TIME_SLOT_NS, VscsiStatsCollector
+from ..core.collector import DEFAULT_TIME_SLOT_NS
 from ..core.service import DiskKey, HistogramService
 from ..core.window import DEFAULT_WINDOW_SIZE
 from ..faults import activate_from_env, fire
-from ..store.codec import collector_to_bytes, merge_collector_payloads
+from ..store.codec import merge_collector_payloads
 from .client import LiveError
 from .epochs import Epoch, EpochLedger
 from .exposition import render_openmetrics
@@ -80,11 +86,13 @@ from .protocol import (
     FRAME_ERROR,
     FRAME_OK,
     ProtocolError,
+    encode_extents,
     pack_control,
     pack_error,
     pack_ok,
     pack_text,
     read_frame,
+    snapshot_extents,
     unpack_control,
 )
 from .server import LiveStatsServer
@@ -112,10 +120,12 @@ DEFAULT_RING_REPLICAS = 64
 # The payload of a SNAPSHOT frame is the concatenation of one
 # ``RPHCOL2`` collector record per disk; the header's ``disks`` list
 # carries ``{vm, vdisk, off, len}`` extents into it, so the coordinator
-# slices records out without copying or decoding until merge time.
+# slices records out without copying or decoding until merge time.  A
+# header with a ``current`` key carries a live epoch answering the
+# scrape it numbers; without one, a sealed epoch.
 
 FANIN_HELLO = 0x10    #: worker announces {worker, pid, host, port}
-FANIN_SNAPSHOT = 0x11  #: sealed epoch: extent header + RPHCOL2 records
+FANIN_SNAPSHOT = 0x11  #: an epoch: extent header + RPHCOL2 records
 FANIN_BYE = 0x12      #: clean shutdown marker (EOF without it = crash)
 
 #: Fan-in frames carry whole sealed epochs (one ~1 KiB record per
@@ -172,24 +182,28 @@ def _read_fanin(rfile) -> Optional[Tuple[int, Dict, memoryview]]:
 
 def encode_snapshot(worker: int, epoch_index: int, pairs,
                     records: int) -> Tuple[Dict, bytes]:
-    """Encode one sealed epoch as a SNAPSHOT header + payload.
+    """Encode one epoch as a SNAPSHOT header + payload.
 
     ``pairs`` is an iterable of ``((vm, vdisk), collector)``; each
-    collector becomes one ``RPHCOL2`` record and an extent entry, so
-    the coordinator can slice per-disk payloads without decoding.
+    collector becomes one ``RPHCOL2`` record and an extent entry
+    (:func:`~repro.live.protocol.encode_extents`), so the coordinator
+    can slice per-disk payloads without decoding.
     """
-    disks = []
-    chunks = []
-    offset = 0
-    for (vm, vdisk), collector in pairs:
-        record = collector_to_bytes(collector)
-        disks.append({"vm": vm, "vdisk": vdisk,
-                      "off": offset, "len": len(record)})
-        chunks.append(record)
-        offset += len(record)
+    disks, payload = encode_extents(pairs)
     header = {"worker": worker, "epoch": epoch_index,
               "records": records, "disks": disks}
-    return header, b"".join(chunks)
+    return header, payload
+
+
+def _records_by_disk(snapshots) -> Dict[DiskKey, List[bytes]]:
+    """Per-disk records of ``(header, payload)`` snapshots (usually
+    one per disk; several when a reassignment made two workers see the
+    same disk in one round — the merge is exact either way)."""
+    by_disk: Dict[DiskKey, List[bytes]] = {}
+    for header, payload in snapshots:
+        for key, record in snapshot_extents(header, payload):
+            by_disk.setdefault(key, []).append(record)
+    return by_disk
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +312,7 @@ class SnapshotLedger:
                                   time_slot_ns=time_slot_ns,
                                   max_epochs=max_epochs, store=store)
         #: Parallel to ``ledger.epochs``: per sealed epoch, the raw
-        #: collector records by disk (usually one per disk; several
-        #: when a reassignment made two workers see the same disk in
-        #: one round — the merge is exact either way).
+        #: collector records by disk.
         self._epoch_payloads: List[Dict[DiskKey, List[bytes]]] = []
 
     def seal_round(self, snapshots) -> Epoch:
@@ -311,14 +323,7 @@ class SnapshotLedger:
         into the wrapped ledger (which persists to the store and
         advances the epoch clock).
         """
-        by_disk: Dict[DiskKey, List[bytes]] = {}
-        for header, payload in snapshots:
-            view = memoryview(payload)
-            for extent in header["disks"]:
-                key = (extent["vm"], extent["vdisk"])
-                record = bytes(view[extent["off"]:
-                                    extent["off"] + extent["len"]])
-                by_disk.setdefault(key, []).append(record)
+        by_disk = _records_by_disk(snapshots)
         pairs = [(key, merge_collector_payloads(records))
                  for key, records in by_disk.items()]
         epoch = self.ledger.seal(pairs)
@@ -330,18 +335,32 @@ class SnapshotLedger:
             self._epoch_payloads.pop(0)
         return epoch
 
-    def merged_history(self) -> HistogramService:
-        """Lifetime merge of every sealed epoch, vectorized.
+    def history(self) -> Tuple[HistogramService,
+                               List[Dict[DiskKey, List[bytes]]]]:
+        """``(retired aggregate, per-epoch payloads by disk)``.
+
+        Neither is mutated once sealed (retirement replaces the
+        aggregate), so a caller may capture this under the lock that
+        serializes rounds and fold it with :meth:`merged_history`
+        after releasing that lock.
+        """
+        return self.ledger.retired, list(self._epoch_payloads)
+
+    def merged_history(self, history=None) -> HistogramService:
+        """Lifetime merge of ``history`` (default: every sealed epoch
+        now), vectorized.
 
         One column-stack reduce per disk across all retained epochs'
         raw payloads, plus the ledger's retired aggregate — exact and
         byte-identical to folding the epochs one by one.
         """
+        retired, epoch_payloads = (self.history() if history is None
+                                   else history)
         service = HistogramService(window_size=self.window_size,
                                    time_slot_ns=self.time_slot_ns)
-        service = service.merge(self.ledger.retired)
+        service = service.merge(retired)
         per_disk: Dict[DiskKey, List[bytes]] = {}
-        for epoch_map in self._epoch_payloads:
+        for epoch_map in epoch_payloads:
             for key, records in epoch_map.items():
                 per_disk.setdefault(key, []).extend(records)
         for key, records in per_disk.items():
@@ -463,11 +482,14 @@ def _worker_main(index: int, config: Dict, fanin_wfd: int,
         return {"worker": index, "generation": router.generation,
                 "installed": installed}
 
-    def op_snapshot(op: Dict) -> Dict:
-        return server.snapshot_dict(scope=op.get("scope", "current"),
-                                    epoch=op.get("epoch"),
-                                    aggregate=bool(op.get("aggregate",
-                                                          False)))
+    def op_current(op: Dict) -> Dict:
+        pairs = server.live_pairs()
+        header, payload = encode_snapshot(
+            index, len(server.ledger), pairs,
+            sum(collector.commands for _, collector in pairs))
+        header["current"] = op["scrape"]
+        send_fanin(FANIN_SNAPSHOT, header, payload)
+        return {"worker": index, "disks": len(pairs)}
 
     def op_info(op: Dict) -> Dict:
         return server.info()
@@ -484,7 +506,7 @@ def _worker_main(index: int, config: Dict, fanin_wfd: int,
         "worker-rotate": op_rotate,
         "worker-stop": op_stop,
         "worker-route": op_route,
-        "worker-snapshot": op_snapshot,
+        "worker-current": op_current,
         "worker-info": op_info,
         "worker-enable": op_enable,
         "worker-disable": op_disable,
@@ -507,7 +529,7 @@ def _worker_main(index: int, config: Dict, fanin_wfd: int,
         stop.wait()
     finally:
         try:
-            server.close(drain=True)  # final partial epoch → on_seal
+            server.close()  # final partial epoch → on_seal
         finally:
             if fd_channel is not None:
                 try:
@@ -629,7 +651,9 @@ class ClusterServer:
         self._worker_addrs: Dict[int, Tuple[str, int]] = {}
         self._alive: set = set()
         self._clean: set = set()
-        self._inbox: Dict[int, deque] = {}
+        self._inbox: Dict[int, deque] = {}       # sealed snapshots
+        self._live_inbox: Dict[int, deque] = {}  # scrape answers
+        self._scrapes = 0
         self._inbox_cond = threading.Condition()
         self._reader_threads: List[threading.Thread] = []
         self._route_lock = threading.Lock()
@@ -683,6 +707,7 @@ class ClusterServer:
                     if self.fd_passing else None)
         for index in range(self.workers):
             self._inbox[index] = deque()
+            self._live_inbox[index] = deque()
             self._alive.add(index)
         for index in range(self.workers):
             rfd, wfd = pipes[index]
@@ -881,6 +906,11 @@ class ClusterServer:
                         self._worker_addrs[index] = (header["host"],
                                                      int(header["port"]))
                         self._inbox_cond.notify_all()
+                elif ftype == FANIN_SNAPSHOT and "current" in header:
+                    with self._inbox_cond:
+                        self._live_inbox[index].append(
+                            (header, bytes(payload)))
+                        self._inbox_cond.notify_all()
                 elif ftype == FANIN_SNAPSHOT:
                     with self._inbox_cond:
                         self._inbox[index].append(
@@ -985,7 +1015,7 @@ class ClusterServer:
                     self._rpc(addr, {"op": "worker-rotate"})
                 except (OSError, ValueError, LiveError, ProtocolError):
                     pass  # died before sealing; handled below
-            snapshots = self._collect_round([i for i, _ in targets])
+            snapshots = self._collect(self._inbox, [i for i, _ in targets])
             epoch = self.snapshots.seal_round(snapshots)
             self._fire_on_seal(epoch)
             return epoch
@@ -1005,15 +1035,24 @@ class ClusterServer:
         except (OSError, ValueError):
             pass
 
-    def _collect_round(self, indices) -> List[Tuple[Dict, bytes]]:
+    def _collect(self, inbox, indices,
+                 scrape: Optional[int] = None) -> List[Tuple[Dict, bytes]]:
+        """One snapshot from each of ``indices`` out of ``inbox``.
+
+        ``scrape`` names the live-epoch request being answered; an
+        answer to an earlier scrape that timed out is dropped.
+        """
         deadline = _now() + _ROUND_TIMEOUT
         collected: List[Tuple[Dict, bytes]] = []
         pending = set(indices)
         with self._inbox_cond:
             while pending:
                 for index in sorted(pending):
-                    if self._inbox[index]:
-                        collected.append(self._inbox[index].popleft())
+                    queue = inbox[index]
+                    while queue and queue[0][0].get("current") != scrape:
+                        queue.popleft()
+                    if queue:
+                        collected.append(queue.popleft())
                         pending.discard(index)
                     elif index not in self._alive:
                         pending.discard(index)  # died without a snapshot
@@ -1028,28 +1067,35 @@ class ClusterServer:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _current_service(self) -> HistogramService:
-        """Merge of every alive worker's live (unsealed) epoch."""
-        service = HistogramService(window_size=self.window_size,
-                                   time_slot_ns=self.time_slot_ns)
-        snapshots = self._broadcast({"op": "worker-snapshot",
-                                     "scope": "current"})
-        for _index, snapshot in sorted(snapshots.items()):
-            for disk, document in snapshot["disks"].items():
-                vm, _, vdisk = disk.partition("/")
-                service.adopt((vm, vdisk),
-                              VscsiStatsCollector.from_dict(document))
+    def _live_snapshots(self) -> List[Tuple[Dict, bytes]]:
+        """Every alive worker's live (unsealed) epoch as fan-in
+        snapshots.  Call under ``_control_lock``, so the scrape sees no
+        rotation half done and no other scrape's answers."""
+        self._scrapes += 1
+        answered = self._broadcast({"op": "worker-current",
+                                    "scrape": self._scrapes})
+        return self._collect(self._live_inbox, answered,
+                             scrape=self._scrapes)
+
+    @staticmethod
+    def _adopt_live(service: HistogramService,
+                    snapshots) -> HistogramService:
+        """Merge live-epoch ``snapshots`` per disk into ``service``."""
+        for key, records in _records_by_disk(snapshots).items():
+            service.adopt(key, merge_collector_payloads(records))
         return service
 
     def merged_service(self) -> HistogramService:
         """Lifetime merge: sealed history plus every worker's live
         epoch — the cluster analogue of
-        :meth:`LiveStatsServer.merged_service`."""
-        service = self.snapshots.merged_history()
-        current = self._current_service()
-        for key, collector in current.collectors():
-            service.adopt(key, collector)
-        return service
+        :meth:`LiveStatsServer.merged_service`.  Both are captured in
+        one hold of the control lock and merged after it is released,
+        so a scrape delays a rotation only by its worker round."""
+        with self._control_lock:
+            history = self.snapshots.history()
+            live = self._live_snapshots()
+        return self._adopt_live(self.snapshots.merged_history(history),
+                                live)
 
     def snapshot_dict(self, scope: str = "all",
                       epoch: Optional[int] = None,
@@ -1071,7 +1117,11 @@ class ClusterServer:
             meta: Dict = {"scope": "epoch", "epoch": target.index,
                           "records": target.records}
         elif scope == "current":
-            service = self._current_service()
+            with self._control_lock:
+                live = self._live_snapshots()
+            service = self._adopt_live(HistogramService(
+                window_size=self.window_size,
+                time_slot_ns=self.time_slot_ns), live)
             meta = {"scope": "current", "epoch": len(ledger)}
         elif scope == "all":
             service = self.merged_service()

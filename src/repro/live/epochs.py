@@ -38,8 +38,8 @@ class Epoch:
 
     def __init__(self, index: int, service: HistogramService,
                  records: int, sealed_unix: float,
-                 start_unix: Optional[float] = None,
-                 span_ns: Optional[Tuple[int, int]] = None):
+                 start_unix: Optional[float] = None, *,
+                 span_ns: Tuple[int, int]):
         self.index = index
         self.service = service
         self.records = records
@@ -54,13 +54,6 @@ class Epoch:
         #: partial first attempt may already have landed some disks in
         #: the WAL, and appending them again would double-count.
         self.quarantined = False
-        if span_ns is None:
-            # Standalone construction: derive from the float clocks,
-            # clamped non-empty.  The ledger always passes an explicit
-            # integer span so consecutive epochs abut exactly.
-            start_ns = int(self.start_unix * 1e9)
-            end_ns = int(self.sealed_unix * 1e9)
-            span_ns = (start_ns, max(end_ns, start_ns + 1))
         self.start_ns, self.end_ns = span_ns
 
     @property
@@ -251,17 +244,28 @@ class EpochLedger:
         """The most recently sealed epoch, if any."""
         return self.epochs[-1] if self.epochs else None
 
-    def merged(self) -> HistogramService:
-        """Exact merge of every sealed (and retired) epoch.
+    def history(self) -> List[HistogramService]:
+        """The retired aggregate, then each retained epoch's service.
+
+        Sealed services are never mutated (retention replaces
+        ``retired``), so a caller may capture this list under the lock
+        that serializes seals and fold it with :meth:`merged` after
+        releasing that lock.
+        """
+        return [self.retired] + [epoch.service for epoch in self.epochs]
+
+    def merged(self, history: Optional[List[HistogramService]] = None
+               ) -> HistogramService:
+        """Exact merge of ``history`` (default: every sealed and
+        retired epoch now).
 
         Always a freshly built service — callers may adopt the current
         (unsealed) collectors into it without disturbing the ledger.
         """
         total = HistogramService(window_size=self.window_size,
                                  time_slot_ns=self.time_slot_ns)
-        total = total.merge(self.retired)
-        for epoch in self.epochs:
-            total = total.merge(epoch.service)
+        for service in self.history() if history is None else history:
+            total = total.merge(service)
         return total
 
     @property

@@ -8,24 +8,22 @@ Every message in both directions is a *frame*::
 
 ``length`` covers the type byte plus the payload.  Request frames:
 
-* ``DATA`` (0x01) — a run of completed SCSI commands for one virtual
-  disk.  Payload: ``u16 BE`` vm-name length, vm name (UTF-8), ``u16
-  BE`` vdisk-name length, vdisk name, then raw 40-byte ``VSCSITR1``
-  records (the exact on-disk layout of
-  :data:`repro.core.tracing.BINARY_RECORD_FORMAT`, no magic).  Because
-  the body *is* the columnar trace dtype, the server views it with
-  ``np.frombuffer`` and lands directly in the collector's batch hooks
-  — zero per-record parsing.
 * ``CONTROL`` (0x02) — a UTF-8 JSON object ``{"op": ...}``; see
   ``docs/live.md`` for the op table.
-* ``DATA_SEQ`` (0x03) — a ``DATA`` frame prefixed with a retry
-  identity: ``u16 BE`` session-id length, session id (UTF-8), ``u64
-  BE`` sequence number (starting at 1, incremented per frame), then
-  the ``DATA`` payload.  The server remembers, per session, the last
-  sequence number and the exact response bytes it produced, so a
-  client that lost an ack to a broken connection can resend the same
-  frame and receive the original ack instead of double-ingesting —
-  the mechanism behind :class:`repro.live.client.LiveStatsClient`'s
+* ``DATA_SEQ`` (0x03) — a run of completed SCSI commands for one
+  virtual disk, with a retry identity.  Payload: ``u16 BE`` session-id
+  length, session id (UTF-8), ``u64 BE`` sequence number (starting at
+  1, incremented per frame), then the record body: ``u16 BE`` vm-name
+  length, vm name (UTF-8), ``u16 BE`` vdisk-name length, vdisk name,
+  then raw 40-byte ``VSCSITR1`` records (the exact on-disk layout of
+  :data:`repro.core.tracing.BINARY_RECORD_FORMAT`, no magic).  Because
+  the records *are* the columnar trace dtype, the server views them
+  with ``np.frombuffer`` and lands directly in the collector's batch
+  hooks — zero per-record parsing.  The server remembers, per session,
+  the last sequence number and the exact response bytes it produced,
+  so a client that lost an ack to a broken connection can resend the
+  same frame and receive the original ack instead of double-ingesting
+  — the mechanism behind :class:`repro.live.client.LiveStatsClient`'s
   idempotent retry.
 
 Response frames:
@@ -35,29 +33,35 @@ Response frames:
 * ``ERROR`` (0xEE) — UTF-8 JSON ``{"error": message}``.
 
 Malformed input raises :class:`ProtocolError`, which the server turns
-into an ``ERROR`` response.  Frames above :data:`MAX_FRAME_BYTES` are
-rejected before any allocation, so a corrupt length prefix cannot make
-the daemon balloon.
+into an ``ERROR`` response; so does any other request type.  Frames
+above :data:`MAX_FRAME_BYTES` are rejected before any allocation, so a
+corrupt length prefix cannot make the daemon balloon.
+
+Epochs travel between tiers — sealed and live ones over the cluster's
+fan-in pipes, sealed ones in the fleet's ``SNAPSHOT`` frames — as one
+``RPHCOL2`` collector record per disk behind a ``{vm, vdisk, off,
+len}`` extent list (:func:`encode_extents`, :func:`snapshot_extents`);
+the names travel beside the records, so any name is carried exactly.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as _np
 
-from ..core.tracing import BINARY_RECORD_FORMAT, TraceRecord
+from ..core.tracing import BINARY_RECORD_FORMAT
 from ..parallel.trace_io import (
     TraceColumns,
     buffer_to_columns,
     columns_to_bytes,
 )
+from ..store.codec import collector_to_bytes
 
 __all__ = [
     "FRAME_CONTROL",
-    "FRAME_DATA",
     "FRAME_DATA_SEQ",
     "FRAME_ERROR",
     "FRAME_OK",
@@ -68,8 +72,8 @@ __all__ = [
     "ProtocolError",
     "bytes_to_columns",
     "columns_to_bytes",
+    "encode_extents",
     "pack_control",
-    "pack_data",
     "pack_data_seq",
     "pack_error",
     "pack_frame",
@@ -78,33 +82,27 @@ __all__ = [
     "pack_text",
     "read_frame",
     "read_frame_view",
-    "records_to_bytes",
+    "snapshot_extents",
     "sort_columns_for_stream",
     "unpack_control",
-    "unpack_data",
     "unpack_data_seq",
 ]
 
 PROTOCOL_VERSION = 1
 
-FRAME_DATA = 0x01
 FRAME_CONTROL = 0x02
 FRAME_DATA_SEQ = 0x03
 FRAME_OK = 0x81
 FRAME_TEXT = 0x82
 FRAME_ERROR = 0xEE
 
-_REQUEST_TYPES = frozenset({FRAME_DATA, FRAME_CONTROL, FRAME_DATA_SEQ})
-_RESPONSE_TYPES = frozenset({FRAME_OK, FRAME_TEXT, FRAME_ERROR})
-
 #: Hard ceiling on one frame's (type + payload) size: a corrupt length
 #: prefix must not turn into a multi-gigabyte allocation.  32 MiB is
 #: room for ~800k records per data frame.
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
-_RECORD_STRUCT = struct.Struct(BINARY_RECORD_FORMAT)
 #: Size of one wire record (identical to the trace-file record).
-RECORD_BYTES = _RECORD_STRUCT.size
+RECORD_BYTES = struct.calcsize(BINARY_RECORD_FORMAT)
 
 _LEN = struct.Struct("!I")
 _TYPE = struct.Struct("!B")
@@ -200,52 +198,10 @@ def _pack_name(name: str) -> bytes:
     return _NAME_LEN.pack(len(raw)) + raw
 
 
-def pack_data(vm: str, vdisk: str, body: bytes) -> bytes:
-    """Build a ``DATA`` frame carrying raw records for one disk."""
-    if len(body) % RECORD_BYTES:
-        raise ProtocolError(
-            f"data body of {len(body)} bytes is not a whole number of "
-            f"{RECORD_BYTES}-byte records"
-        )
-    return pack_frame(FRAME_DATA, _pack_name(vm) + _pack_name(vdisk) + body)
-
-
-def unpack_data(payload) -> Tuple[str, str, memoryview]:
-    """Split a ``DATA`` payload into ``(vm, vdisk, record bytes)``.
-
-    The returned body is a :class:`memoryview` over ``payload`` —
-    never a copy — so a server that read the frame with
-    :func:`read_frame_view` hands the received bytes straight to
-    ``np.frombuffer``.  It compares equal to the equivalent ``bytes``
-    and :func:`bytes_to_columns` accepts it.
-    """
-    view = memoryview(payload)
-    offset = 0
-    names = []
-    for _ in range(2):
-        if len(view) < offset + _NAME_LEN.size:
-            raise ProtocolError("data frame truncated in its name header")
-        (nlen,) = _NAME_LEN.unpack_from(view, offset)
-        offset += _NAME_LEN.size
-        if len(view) < offset + nlen:
-            raise ProtocolError("data frame truncated in a name")
-        try:
-            names.append(bytes(view[offset:offset + nlen]).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"undecodable name: {exc}") from None
-        offset += nlen
-    body = view[offset:]
-    if len(body) % RECORD_BYTES:
-        raise ProtocolError(
-            f"data body of {len(body)} bytes is not a whole number of "
-            f"{RECORD_BYTES}-byte records"
-        )
-    return names[0], names[1], body
-
-
 def pack_data_seq(session: str, seq: int, vm: str, vdisk: str,
                   body: bytes) -> bytes:
-    """Build a ``DATA_SEQ`` frame — a data frame with retry identity.
+    """Build a ``DATA_SEQ`` frame: raw records for one disk behind a
+    retry identity.
 
     ``session`` names one logical publishing stream (it survives
     reconnects); ``seq`` starts at 1 and increments per frame.  A
@@ -270,7 +226,14 @@ def pack_data_seq(session: str, seq: int, vm: str, vdisk: str,
 
 def unpack_data_seq(payload) -> Tuple[str, int, str, str, memoryview]:
     """Split a ``DATA_SEQ`` payload into
-    ``(session, seq, vm, vdisk, record bytes)``."""
+    ``(session, seq, vm, vdisk, record bytes)``.
+
+    The record bytes are a :class:`memoryview` over ``payload`` — never
+    a copy — so a server that read the frame with
+    :func:`read_frame_view` hands the received bytes straight to
+    ``np.frombuffer``.  They compare equal to the equivalent ``bytes``
+    and :func:`bytes_to_columns` accepts them.
+    """
     view = memoryview(payload)
     if len(view) < _NAME_LEN.size:
         raise ProtocolError("data frame truncated in its session header")
@@ -290,8 +253,26 @@ def unpack_data_seq(payload) -> Tuple[str, int, str, str, memoryview]:
             "data frame needs a non-empty session id and a sequence "
             "number >= 1"
         )
-    vm, vdisk, body = unpack_data(view[offset:])
-    return session, seq, vm, vdisk, body
+    names = []
+    for _ in range(2):
+        if len(view) < offset + _NAME_LEN.size:
+            raise ProtocolError("data frame truncated in its name header")
+        (nlen,) = _NAME_LEN.unpack_from(view, offset)
+        offset += _NAME_LEN.size
+        if len(view) < offset + nlen:
+            raise ProtocolError("data frame truncated in a name")
+        try:
+            names.append(bytes(view[offset:offset + nlen]).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"undecodable name: {exc}") from None
+        offset += nlen
+    body = view[offset:]
+    if len(body) % RECORD_BYTES:
+        raise ProtocolError(
+            f"data body of {len(body)} bytes is not a whole number of "
+            f"{RECORD_BYTES}-byte records"
+        )
+    return session, seq, names[0], names[1], body
 
 
 # ----------------------------------------------------------------------
@@ -310,16 +291,6 @@ def bytes_to_columns(body) -> TraceColumns:
         return buffer_to_columns(body)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
-
-
-def records_to_bytes(records: Iterable[TraceRecord]) -> bytes:
-    """Pack trace records into a data-frame body."""
-    pack = _RECORD_STRUCT.pack
-    return b"".join(
-        pack(r.serial, r.issue_ns, r.complete_ns, r.lba, r.nblocks,
-             1 if r.is_read else 0)
-        for r in records
-    )
 
 
 def sort_columns_for_stream(columns: TraceColumns) -> TraceColumns:
@@ -345,6 +316,39 @@ def sort_columns_for_stream(columns: TraceColumns) -> TraceColumns:
     order = _np.lexsort((serial, issue))
     return TraceColumns(*(_np.asarray(col)[order]
                           for col in columns.columns()))
+
+
+# ----------------------------------------------------------------------
+# Snapshot extents
+# ----------------------------------------------------------------------
+def encode_extents(pairs) -> Tuple[List[Dict], bytes]:
+    """Encode ``((vm, vdisk), collector)`` pairs as ``(disks, payload)``.
+
+    Each collector becomes one ``RPHCOL2`` record in ``payload`` and one
+    ``{"vm", "vdisk", "off", "len"}`` entry in ``disks``, so a receiver
+    slices per-disk records out without decoding
+    (:func:`snapshot_extents`).
+    """
+    disks: List[Dict] = []
+    chunks: List[bytes] = []
+    offset = 0
+    for (vm, vdisk), collector in pairs:
+        record = collector_to_bytes(collector)
+        disks.append({"vm": vm, "vdisk": vdisk,
+                      "off": offset, "len": len(record)})
+        chunks.append(record)
+        offset += len(record)
+    return disks, b"".join(chunks)
+
+
+def snapshot_extents(header: Dict,
+                     payload) -> Iterator[Tuple[Tuple[str, str], bytes]]:
+    """Yield ``((vm, vdisk), record bytes)`` per extent of
+    ``header["disks"]``, sliced out of ``payload``."""
+    view = memoryview(payload)
+    for extent in header["disks"]:
+        key = (extent["vm"], extent["vdisk"])
+        yield key, bytes(view[extent["off"]:extent["off"] + extent["len"]])
 
 
 # ----------------------------------------------------------------------

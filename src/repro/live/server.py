@@ -6,7 +6,7 @@ inside the hypervisor: a long-running service that characterizes I/O
 the length-prefixed frame protocol of :mod:`repro.live.protocol` over
 TCP:
 
-* ``DATA`` frames carry raw 40-byte ``VSCSITR1`` records for one
+* ``DATA_SEQ`` frames carry raw 40-byte ``VSCSITR1`` records for one
   ``(vm, vdisk)``; the connection handler views the body as numpy
   columns (zero per-record parsing) and routes it to the shard worker
   that owns that disk.
@@ -38,7 +38,7 @@ microseconds to milliseconds regardless of traffic.
 Shutdown drains: pending queue items are processed, then the partial
 epoch is flushed into the ledger so no acked command is ever lost.
 
-Resilience: sequenced ``DATA_SEQ`` frames are deduplicated per client
+Resilience: ``DATA_SEQ`` frames are deduplicated per client
 session (a retry of a frame whose ack was lost is answered from a
 cached ack, never ingested twice — the client side of this contract
 lives in :mod:`repro.live.client`), and a store that fails mid-seal
@@ -54,7 +54,7 @@ import socket
 import threading
 import zlib
 from collections import OrderedDict
-from queue import Empty, Full, Queue
+from queue import Full, Queue
 from typing import Dict, List, Optional, Tuple
 
 from ..core.collector import DEFAULT_TIME_SLOT_NS, VscsiStatsCollector
@@ -65,7 +65,6 @@ from .epochs import Epoch, EpochLedger
 from .exposition import render_openmetrics
 from .protocol import (
     FRAME_CONTROL,
-    FRAME_DATA,
     FRAME_DATA_SEQ,
     ProtocolError,
     bytes_to_columns,
@@ -75,7 +74,6 @@ from .protocol import (
     pack_text,
     read_frame_view,
     unpack_control,
-    unpack_data,
     unpack_data_seq,
 )
 from .stream import DiskStream
@@ -351,7 +349,8 @@ class LiveStatsServer:
         self._started = False
         self._closed = False
 
-        self._control_lock = threading.Lock()
+        # Reentrant: merged_service holds it across live_pairs.
+        self._control_lock = threading.RLock()
         self._stats_lock = threading.Lock()
         self._session_lock = threading.Lock()
         self._sessions: "OrderedDict[str, _SessionEntry]" = OrderedDict()
@@ -416,13 +415,13 @@ class LiveStatsServer:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    def close(self, drain: bool = True) -> None:
+    def close(self) -> None:
         """Stop the daemon.
 
-        With ``drain=True`` (default) every queued batch is processed
-        and the partial epoch is flushed into the ledger before
-        workers exit, so all acked data remains queryable in-process
-        (:meth:`snapshot_dict`, :meth:`merged_service`).
+        Every queued batch is processed and the partial epoch is
+        flushed into the ledger before workers exit, so all acked data
+        remains queryable in-process (:meth:`snapshot_dict`,
+        :meth:`merged_service`).
         """
         if self._closed:
             return
@@ -476,16 +475,6 @@ class LiveStatsServer:
                 pass
         for worker in self._workers:
             if worker.is_alive():
-                if not drain:
-                    # Shed queued work before the sentinel.
-                    try:
-                        while True:
-                            item = worker.queue.get_nowait()
-                            if isinstance(item, _DataItem):
-                                item.error = "server shutting down"
-                                item.done.set()
-                    except Empty:
-                        pass
                 worker.queue.put(_SHUTDOWN)
                 worker.join(timeout=10.0)
         for thread in self._accept_threads:
@@ -495,13 +484,11 @@ class LiveStatsServer:
         # no double-seal of the same collectors, no append to a closed
         # store.
         with self._control_lock:
-            if drain:
-                # Flush the partial epoch so acked commands stay
-                # queryable.
-                pairs = self._seal_all_streams()
-                if pairs:
-                    epoch = self.ledger.seal(pairs)
-                    self._fire_on_seal(epoch)
+            # Flush the partial epoch so acked commands stay queryable.
+            pairs = self._seal_all_streams()
+            if pairs:
+                epoch = self.ledger.seal(pairs)
+                self._fire_on_seal(epoch)
             if self.store is not None and self._owns_store:
                 # A store that fails at the very end must not lose the
                 # in-memory state or leave the flock held: record the
@@ -602,9 +589,7 @@ class LiveStatsServer:
                     return  # clean EOF
                 ftype, payload = frame
                 try:
-                    if ftype == FRAME_DATA:
-                        response = self._handle_data(payload)
-                    elif ftype == FRAME_DATA_SEQ:
+                    if ftype == FRAME_DATA_SEQ:
                         response = self._handle_data_seq(payload)
                     elif ftype == FRAME_CONTROL:
                         response = self._handle_control(payload)
@@ -671,13 +656,6 @@ class LiveStatsServer:
             f"disk {vm}/{vdisk} is owned by worker at {host}:{port}",
             host, port,
         )
-
-    def _handle_data(self, payload: bytes) -> bytes:
-        vm, vdisk, body = unpack_data(payload)
-        redirect = self._redirect_for(vm, vdisk)
-        if redirect is not None:
-            return redirect
-        return self._ingest(vm, vdisk, body)
 
     def _handle_data_seq(self, payload: bytes) -> bytes:
         """A sequenced data frame: ingest once, answer retries from
@@ -966,16 +944,19 @@ class LiveStatsServer:
     # ------------------------------------------------------------------
     # Queries (also usable in-process, e.g. after close())
     # ------------------------------------------------------------------
-    def _current_pairs(self, copy: bool = True):
-        """((vm, vdisk), collector) for the live epoch; call paused."""
-        pairs = []
-        for worker in self._workers:
-            for key, stream in worker.streams.items():
-                if stream.collector is not None:
-                    collector = stream.collector
-                    pairs.append((key, collector.copy() if copy
-                                  else collector))
-        return pairs
+    def live_pairs(self) -> List[Tuple[DiskKey, VscsiStatsCollector]]:
+        """``((vm, vdisk), collector copy)`` for the live (unsealed)
+        epoch, taken with every running shard worker parked."""
+        with self._control_lock:
+            running = self._started and not self._closed
+            barriers = self._pause_workers() if running else []
+            try:
+                return [(key, stream.collector.copy())
+                        for worker in self._workers
+                        for key, stream in worker.streams.items()
+                        if stream.collector is not None]
+            finally:
+                self._resume_workers(barriers)
 
     def snapshot_dict(self, scope: str = "all",
                       epoch: Optional[int] = None,
@@ -1001,27 +982,13 @@ class LiveStatsServer:
             meta: Dict = {"scope": "epoch", "epoch": target.index,
                           "records": target.records}
         elif scope == "current":
-            with self._control_lock:
-                barriers = self._pause_workers()
-                try:
-                    pairs = self._current_pairs()
-                finally:
-                    self._resume_workers(barriers)
             service = HistogramService(window_size=self.window_size,
                                        time_slot_ns=self.time_slot_ns)
-            for key, collector in pairs:
+            for key, collector in self.live_pairs():
                 service.adopt(key, collector)
             meta = {"scope": "current", "epoch": len(self.ledger)}
         elif scope == "all":
-            with self._control_lock:
-                barriers = self._pause_workers()
-                try:
-                    pairs = self._current_pairs()
-                finally:
-                    self._resume_workers(barriers)
-            service = self.ledger.merged()
-            for key, collector in pairs:
-                service.adopt(key, collector)
+            service = self.merged_service()
             meta = {"scope": "all", "epochs": len(self.ledger)}
         else:
             raise ProtocolError(f"unknown snapshot scope {scope!r}")
@@ -1035,17 +1002,17 @@ class LiveStatsServer:
         return meta
 
     def merged_service(self) -> HistogramService:
-        """Lifetime merge: every sealed epoch plus the live one."""
-        if self._closed or not self._started:
-            pairs = self._current_pairs()
-        else:
-            with self._control_lock:
-                barriers = self._pause_workers()
-                try:
-                    pairs = self._current_pairs()
-                finally:
-                    self._resume_workers(barriers)
-        service = self.ledger.merged()
+        """Lifetime merge: every sealed epoch plus the live one.
+
+        The live copy and the sealed history are captured in one hold
+        of the control lock, so no rotation seals the copied collectors
+        into the history in between; the fold runs after the lock is
+        released, so a scrape delays a rotation only by the copy.
+        """
+        with self._control_lock:
+            pairs = self.live_pairs()
+            history = self.ledger.history()
+        service = self.ledger.merged(history)
         for key, collector in pairs:
             service.adopt(key, collector)
         return service

@@ -18,7 +18,7 @@ from .engine import (
     seconds,
     us,
 )
-from .process import Barrier, Process, Signal, Timeout, all_of
+from .process import Process, Signal, Timeout, all_of
 from .randomness import RandomSource
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "ms",
     "seconds",
     "us",
-    "Barrier",
     "Process",
     "Signal",
     "Timeout",

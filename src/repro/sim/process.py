@@ -17,7 +17,9 @@ yielded waitable completes.  Two waitables are provided:
 
 * :class:`Timeout` — fires after a fixed simulated delay.
 * :class:`Signal` — fires when some other component calls
-  :meth:`Signal.fire` (used for I/O completions and barriers).
+  :meth:`Signal.fire` (used for I/O completions).
+
+:func:`all_of` combines signals into one wait.
 
 This is intentionally a small subset of a full process algebra: it is
 exactly what the workload models in this reproduction need and nothing
@@ -30,7 +32,7 @@ from typing import Any, Callable, Generator, List, Optional
 
 from .engine import Engine, SimulationError
 
-__all__ = ["Process", "Timeout", "Signal", "Barrier", "all_of"]
+__all__ = ["Process", "Timeout", "Signal", "all_of"]
 
 
 class _Waitable:
@@ -93,38 +95,6 @@ class Signal(_Waitable):
             engine.schedule(0, lambda: resume(self._value))
         else:
             self._waiters.append(resume)
-
-
-class Barrier(_Waitable):
-    """Wait until ``parties`` arrivals — the synchronized flow of Filebench.
-
-    Each participant calls :meth:`arrive`; processes can also ``yield``
-    the barrier to block until the generation completes.  The barrier
-    resets automatically, so cyclic workflows reuse one instance.
-    """
-
-    def __init__(self, engine: Engine, parties: int):
-        if parties < 1:
-            raise SimulationError(f"barrier needs >=1 parties, got {parties}")
-        self._engine = engine
-        self.parties = parties
-        self._count = 0
-        self.generation = 0
-        self._waiters: List[Callable[[Any], None]] = []
-
-    def arrive(self) -> None:
-        """Record one arrival; releases all waiters on the last arrival."""
-        self._count += 1
-        if self._count >= self.parties:
-            self._count = 0
-            self.generation += 1
-            waiters, self._waiters = self._waiters, []
-            gen = self.generation
-            for resume in waiters:
-                self._engine.schedule(0, lambda r=resume, g=gen: r(g))
-
-    def _arm(self, engine: Engine, resume: Callable[[Any], None]) -> None:
-        self._waiters.append(resume)
 
 
 class _AllOf(_Waitable):
@@ -210,7 +180,7 @@ class Process:
         if not isinstance(waitable, _Waitable):
             raise SimulationError(
                 f"process {self.name!r} yielded {waitable!r}, "
-                "expected a Timeout/Signal/Barrier"
+                "expected a Timeout, Signal or all_of()"
             )
         waitable._arm(self.engine, self._resume)
 

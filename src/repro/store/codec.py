@@ -735,7 +735,7 @@ def collector_from_bytes(data) -> VscsiStatsCollector:
     ``data`` may be any bytes-like object — a ``bytes``, a
     ``memoryview`` over a segment ``mmap`` — and is never copied except
     for the small header.  Like
-    :meth:`~repro.core.collector.VscsiStatsCollector.from_dict`, the
+    :meth:`~repro.core.collector.VscsiStatsCollector.merge`, the
     result is an aggregate snapshot with no stream coupling state.
     """
     if len(data) >= _MAGIC_LEN \

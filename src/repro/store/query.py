@@ -97,39 +97,17 @@ class QueryResult:
                 f"span=[{self.covered_start_ns},{self.covered_end_ns})>")
 
 
-def _merge_group(group: List):
-    """Exactly merge one disk's chosen handles into a collector.
-
-    Fast path: every handle exposes a raw frame payload and the
-    vectorized codec merge reduces them without intermediate
-    collectors.  Fallback: per-record decode + ``merge`` (identical
-    result by the codec's merge contract).
-    """
-    payloads = []
-    for h in group:
-        raw = getattr(h, "raw", None)
-        payload = raw() if callable(raw) else None
-        if payload is None:
-            payloads = None
-            break
-        payloads.append(payload)
-    if payloads is not None:
-        return merge_collector_payloads(payloads)
-    merged = group[0].load()
-    for h in group[1:]:
-        merged = merged.merge(h.load())
-    return merged
-
-
 def merge_handles(chosen: List) -> HistogramService:
     """Merge sorted chosen handles into a per-disk service.
 
     ``chosen`` must be sorted by ``(vm, vdisk, start_ns, end_ns, seq)``
-    — the deterministic merge order both execution strategies share.
+    — a deterministic merge order.  Each disk's records are reduced
+    straight from their raw frames by the vectorized codec merge,
+    without intermediate collectors.
     """
     service: Optional[HistogramService] = None
     for key, group in groupby(chosen, key=lambda h: (h.vm, h.vdisk)):
-        collector = _merge_group(list(group))
+        collector = merge_collector_payloads([h.raw() for h in group])
         if service is None:
             service = HistogramService(window_size=collector.window_size,
                                        time_slot_ns=collector.time_slot_ns)

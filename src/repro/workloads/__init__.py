@@ -1,6 +1,6 @@
 """Workload substrate: the generators the paper's evaluation runs."""
 
-from .base import ClosedLoop, Workload
+from .base import Workload
 from .dbt2 import Dbt2Config, Dbt2Workload, TRANSACTION_MIX
 from .filebench import (
     AppendFlow,
@@ -45,7 +45,6 @@ from .postgres import PAGE_BYTES, PostgresConfig, PostgresEngine
 from .replay import TraceReplayWorkload
 
 __all__ = [
-    "ClosedLoop",
     "Workload",
     "Dbt2Config",
     "Dbt2Workload",

@@ -1,57 +1,14 @@
-"""Workload generator base utilities.
+"""Workload generator base: the lifecycle every workload shares.
 
 All workloads in the evaluation are *closed-loop*: a fixed population
 of logical threads each keeps at most one (or a configured number of)
 operations in flight, reissuing on completion — which is how Iometer,
-Filebench and database connections all behave.  :class:`ClosedLoop`
-captures that pattern once: it tracks in-flight operations, counts
-completions, and knows how to stop.
+Filebench and database connections all behave.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from ..sim.engine import Engine
-
-__all__ = ["ClosedLoop", "Workload"]
-
-
-class ClosedLoop:
-    """Bookkeeping for a closed-loop generator.
-
-    Subclass-free usage: the owner calls :meth:`launch` once per
-    logical thread with a function that issues one operation and
-    invokes the provided continuation when it completes; the loop
-    reissues until :meth:`stop` is called.
-    """
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self.operations = 0
-        self.running = False
-        self._population = 0
-
-    def launch(self, issue_one: Callable[[Callable[[], None]], None]) -> None:
-        """Start one logical thread driving ``issue_one`` forever."""
-        self.running = True
-        self._population += 1
-
-        def again() -> None:
-            self.operations += 1
-            if self.running:
-                issue_one(again)
-
-        issue_one(again)
-
-    @property
-    def population(self) -> int:
-        """Number of logical threads launched."""
-        return self._population
-
-    def stop(self) -> None:
-        """Stop reissuing; in-flight operations drain naturally."""
-        self.running = False
+__all__ = ["Workload"]
 
 
 class Workload:

@@ -61,3 +61,32 @@ def test_collector_sees_forked_and_spawned_children(tmp_path):
                    env=env, check=True, timeout=120)
     assert census.unreached(src, str(tmp_path)) == {
         "planted.py:never_called": 2, "planted.py:Box.unread": 3}
+
+
+BRANCHES = '''
+def reached(flag):
+    if flag:
+        a = 1
+        b = 2
+        c = 3
+    if flag:
+        d = 4
+        e = 5
+    return 0
+'''
+
+
+def test_dead_runs_of_three_statements_are_reported(tmp_path):
+    """A reached function's dead branch is a run when it spans three
+    statements with code, and too short to report at two."""
+    census = load_tool()
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "branches.py").write_text(BRANCHES)
+    env = census.collector_env(str(tmp_path), src, src)
+    subprocess.run([sys.executable, "-c",
+                    "import branches; branches.reached(False)"],
+                   env=env, check=True, timeout=120)
+    assert census.unreached(src, str(tmp_path)) == {}
+    assert census.dead_runs(src, str(tmp_path)) == {
+        "branches.py:reached": [(4, 6, 3)]}

@@ -37,7 +37,7 @@ from repro.live import (
     LiveStatsClient,
     LiveStatsServer,
 )
-from repro.live.protocol import ProtocolError, pack_data, pack_data_seq
+from repro.live.protocol import ProtocolError, pack_data_seq
 from repro.parallel import (
     records_to_columns,
     replay_columns,
@@ -307,19 +307,6 @@ class TestChaosLoopback:
                 with pytest.raises(LiveError, match="stale"):
                     client._roundtrip(pack_data_seq("s1", 1, "vm", "d",
                                                     body))
-
-    def test_unsequenced_data_frames_still_accepted(self):
-        """Back-compat: plain DATA frames (no retry identity) keep
-        working for publishers that never retry."""
-        records = _records(100)
-        from repro.live.protocol import records_to_bytes
-        with LiveStatsServer(port=0, shards=1, idle_timeout=30.0) as server:
-            with _fast_client(server) as client:
-                ack = client._roundtrip(
-                    pack_data("vm0", "d0", records_to_bytes(records)))
-                assert ack["accepted"] == len(records)
-                snap = client.snapshot(scope="all")
-        assert snap["disks"]["vm0/d0"] == _as_json(_offline(records))
 
 
 # ----------------------------------------------------------------------

@@ -134,23 +134,6 @@ class TestAlgebra:
 
 
 class TestSerde:
-    def test_roundtrip(self, small):
-        small.insert_many([5, 15, 99])
-        restored = Histogram.from_dict(small.to_dict())
-        assert restored == small
-
-    def test_roundtrip_preserves_labels(self):
-        hist = Histogram(IO_LENGTH_BINS)
-        hist.insert(4096)
-        restored = Histogram.from_dict(hist.to_dict())
-        assert restored.scheme.labels() == IO_LENGTH_BINS.labels()
-
-    def test_bad_counts_length_rejected(self, small):
-        data = small.to_dict()
-        data["counts"] = [0]
-        with pytest.raises(ValueError):
-            Histogram.from_dict(data)
-
     def test_equality(self, small):
         other = Histogram(small.scheme)
         assert small == other

@@ -12,6 +12,8 @@ redirect protocol, and the dead-worker reassignment path.
 import io
 import json
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -442,6 +444,87 @@ class TestClusterEndToEnd:
         # hold for all publishes, but tolerate 0 — the assertion that
         # matters is that every record was accepted above).
         assert redirects >= 0
+
+    def test_slash_in_a_name_scrapes_like_single_process(self):
+        """The live epoch crosses the fan-in with its names beside the
+        records, not inside a ``vm/vdisk`` string: a VM named
+        ``tenant/a`` scrapes exactly like a one-process daemon."""
+        records = _records(44, seed=5)
+
+        def run(server):
+            with server:
+                with LiveStatsClient(*server.address) as client:
+                    client.publish_columns(
+                        "tenant/a", "scsi0:0",
+                        records_to_columns(records[:22]))
+                    client.rotate()
+                    client.publish_columns(
+                        "tenant/a", "scsi0:0",
+                        records_to_columns(records[22:]))
+                    return (client.snapshot(scope="all"),
+                            client.snapshot(scope="current"),
+                            _vscsi_lines(client.metrics()))
+
+        cluster = run(ClusterServer(workers=2))
+        single = run(LiveStatsServer(port=0, shards=2))
+        assert cluster[0]["disks"]["tenant/a/scsi0:0"]["commands"] == 44
+        assert cluster == single
+
+    def test_scrapes_and_rotations_keep_their_own_snapshots(self):
+        """Scrapes and rotations run concurrently while a publisher
+        streams; neither may take the other's fan-in snapshot.  A
+        rotation that sealed a scrape's live copy would double-count,
+        a scrape that took a sealed epoch would lose it: every scrape
+        sees a running total that never falls or overshoots, and the
+        end state equals offline replay."""
+        per_disk = {key: _records(600, seed=91 + i)
+                    for i, key in enumerate(_DISKS)}
+        total = sum(len(v) for v in per_disk.values())
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with ClusterServer(workers=2) as cluster:
+                done = threading.Event()
+                totals = {0: [], 1: []}
+
+                def publish():
+                    try:
+                        with LiveStatsClient(*cluster.address) as client:
+                            _publish_all(client, per_disk, frame_records=50)
+                    finally:
+                        done.set()
+
+                def scrape(index):
+                    while True:
+                        disks = cluster.snapshot_dict(scope="all")["disks"]
+                        totals[index].append(
+                            sum(d["commands"] for d in disks.values()))
+                        if done.is_set():
+                            return
+
+                threads = [threading.Thread(target=publish)] + [
+                    threading.Thread(target=scrape, args=(i,))
+                    for i in totals]
+                for thread in threads:
+                    thread.start()
+                while True:
+                    cluster.rotate()
+                    if done.is_set():
+                        break
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                cluster.rotate()
+                assert cluster.snapshots.ledger.records == total
+                final = cluster.snapshot_dict(scope="all")["disks"]
+        finally:
+            sys.setswitchinterval(switch)
+        for series in totals.values():
+            assert series == sorted(series)
+            assert all(value <= total for value in series)
+        for (vm, vdisk), records in per_disk.items():
+            assert final[f"{vm}/{vdisk}"] == replay_into_collector(
+                records, VscsiStatsCollector()).to_dict()
 
     def test_cluster_enable_disable_gates_every_worker(self):
         with ClusterServer(workers=2) as cluster:

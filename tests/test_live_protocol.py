@@ -8,7 +8,7 @@ import pytest
 from repro.core.tracing import TraceRecord
 from repro.live.protocol import (
     FRAME_CONTROL,
-    FRAME_DATA,
+    FRAME_DATA_SEQ,
     FRAME_ERROR,
     FRAME_OK,
     FRAME_TEXT,
@@ -18,18 +18,22 @@ from repro.live.protocol import (
     bytes_to_columns,
     columns_to_bytes,
     pack_control,
-    pack_data,
+    pack_data_seq,
     pack_error,
     pack_frame,
     pack_ok,
     pack_text,
     read_frame,
-    records_to_bytes,
     sort_columns_for_stream,
     unpack_control,
-    unpack_data,
+    unpack_data_seq,
 )
 from repro.parallel.trace_io import records_to_columns
+from tests.wire import records_to_bytes
+
+#: A valid ``DATA_SEQ`` session header (session "s", seq 1), ahead of a
+#: hand-built record body.
+_SESSION = struct.pack("!H", 1) + b"s" + struct.pack("!Q", 1)
 
 
 def _records(n=5, issue_step=1000, latency=500):
@@ -42,9 +46,9 @@ def _records(n=5, issue_step=1000, latency=500):
 
 class TestFraming:
     def test_roundtrip(self):
-        stream = io.BytesIO(pack_frame(FRAME_DATA, b"abc")
+        stream = io.BytesIO(pack_frame(FRAME_DATA_SEQ, b"abc")
                             + pack_frame(FRAME_CONTROL, b"{}"))
-        assert read_frame(stream) == (FRAME_DATA, b"abc")
+        assert read_frame(stream) == (FRAME_DATA_SEQ, b"abc")
         assert read_frame(stream) == (FRAME_CONTROL, b"{}")
         assert read_frame(stream) is None  # clean EOF
 
@@ -57,7 +61,7 @@ class TestFraming:
             read_frame(io.BytesIO(b"\x00\x00"))
 
     def test_truncated_body(self):
-        frame = pack_frame(FRAME_DATA, b"abcdef")
+        frame = pack_frame(FRAME_DATA_SEQ, b"abcdef")
         with pytest.raises(ProtocolError):
             read_frame(io.BytesIO(frame[:-2]))
 
@@ -72,39 +76,41 @@ class TestFraming:
 
     def test_pack_oversized_frame_rejected(self):
         with pytest.raises(ProtocolError):
-            pack_frame(FRAME_DATA, b"\x00" * MAX_FRAME_BYTES)
+            pack_frame(FRAME_DATA_SEQ, b"\x00" * MAX_FRAME_BYTES)
 
 
 class TestDataFrames:
     def test_roundtrip(self):
         body = records_to_bytes(_records())
-        frame = pack_data("vm-α", "scsi0:0", body)
+        frame = pack_data_seq("s1", 7, "vm-α", "scsi0:0", body)
         ftype, payload = read_frame(io.BytesIO(frame))
-        assert ftype == FRAME_DATA
-        assert unpack_data(payload) == ("vm-α", "scsi0:0", body)
+        assert ftype == FRAME_DATA_SEQ
+        assert unpack_data_seq(payload) == ("s1", 7, "vm-α", "scsi0:0",
+                                            body)
 
     def test_empty_body(self):
-        _, payload = read_frame(io.BytesIO(pack_data("vm", "d", b"")))
-        assert unpack_data(payload) == ("vm", "d", b"")
+        frame = pack_data_seq("s", 1, "vm", "d", b"")
+        _, payload = read_frame(io.BytesIO(frame))
+        assert unpack_data_seq(payload) == ("s", 1, "vm", "d", b"")
 
     def test_ragged_body_rejected_both_ways(self):
         with pytest.raises(ProtocolError):
-            pack_data("vm", "d", b"\x00" * (RECORD_BYTES + 1))
-        raw = (struct.pack("!H", 1) + b"v" + struct.pack("!H", 1) + b"d"
-               + b"\x00" * (RECORD_BYTES - 1))
-        with pytest.raises(ProtocolError):
-            unpack_data(raw)
+            pack_data_seq("s", 1, "vm", "d", b"\x00" * (RECORD_BYTES + 1))
+        raw = (_SESSION + struct.pack("!H", 1) + b"v" + struct.pack("!H", 1)
+               + b"d" + b"\x00" * (RECORD_BYTES - 1))
+        with pytest.raises(ProtocolError, match="whole number"):
+            unpack_data_seq(raw)
 
     def test_truncated_name_header_rejected(self):
-        with pytest.raises(ProtocolError):
-            unpack_data(b"\x00")
-        with pytest.raises(ProtocolError):
-            unpack_data(struct.pack("!H", 10) + b"short")
+        with pytest.raises(ProtocolError, match="name header"):
+            unpack_data_seq(_SESSION + b"\x00")
+        with pytest.raises(ProtocolError, match="in a name"):
+            unpack_data_seq(_SESSION + struct.pack("!H", 10) + b"short")
 
     def test_undecodable_name_rejected(self):
-        raw = struct.pack("!H", 2) + b"\xff\xfe"
-        with pytest.raises(ProtocolError):
-            unpack_data(raw + struct.pack("!H", 1) + b"d")
+        raw = _SESSION + struct.pack("!H", 2) + b"\xff\xfe"
+        with pytest.raises(ProtocolError, match="undecodable name"):
+            unpack_data_seq(raw + struct.pack("!H", 1) + b"d")
 
 
 class TestRecordBody:

@@ -5,6 +5,7 @@ import json
 import re
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -14,17 +15,17 @@ from repro.core.collector import VscsiStatsCollector
 from repro.core.tracing import TraceRecord, replay_into_collector
 from repro.live import LiveError, LiveStatsClient, LiveStatsServer
 from repro.live.protocol import (
-    FRAME_DATA,
+    FRAME_DATA_SEQ,
     FRAME_ERROR,
     FRAME_OK,
     MAX_FRAME_BYTES,
     RECORD_BYTES,
-    pack_data,
+    pack_data_seq,
     pack_frame,
     read_frame,
-    records_to_bytes,
 )
 from repro.parallel.trace_io import records_to_columns, replay_columns
+from tests.wire import records_to_bytes
 
 
 def _records(n, seed=7, start_serial=0, start_ns=0):
@@ -133,6 +134,73 @@ class TestEndToEnd:
             assert len(snap["disks"]) == 4
             assert all(d["commands"] == 500 for d in snap["disks"].values())
 
+    def test_scrapes_and_rotations_keep_their_own_snapshots(self):
+        """Scrapes and rotations run concurrently while a publisher
+        streams.  A scrape reads the live epoch and the sealed history
+        as one state: a rotation between the two reads would count the
+        collectors it seals twice.  Every disk in every scrape equals
+        offline replay of a prefix of that disk's records, and the end
+        state equals replay of all of them."""
+        per_disk = {(f"vm{i}", "d0"): _records(600, seed=91 + i)
+                    for i in range(4)}
+        scrapes = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with LiveStatsServer(port=0, shards=2) as server:
+                done = threading.Event()
+                live_pairs = server.live_pairs
+
+                def slow_live_pairs():
+                    pairs = live_pairs()
+                    time.sleep(0.002)  # a rotation here seals these copies
+                    return pairs
+
+                server.live_pairs = slow_live_pairs
+
+                def publish():
+                    try:
+                        with LiveStatsClient(*server.address) as cli:
+                            for (vm, vdisk), records in per_disk.items():
+                                cli.publish_columns(
+                                    vm, vdisk, records_to_columns(records),
+                                    frame_records=50)
+                    finally:
+                        done.set()
+
+                def scrape():
+                    while not done.is_set():
+                        scrapes.append(
+                            server.snapshot_dict(scope="all")["disks"])
+
+                threads = [threading.Thread(target=publish),
+                           threading.Thread(target=scrape),
+                           threading.Thread(target=scrape)]
+                for thread in threads:
+                    thread.start()
+                while not done.is_set():
+                    server.rotate()
+                    time.sleep(0.001)
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                server.rotate()
+                scrapes.append(server.snapshot_dict(scope="all")["disks"])
+        finally:
+            sys.setswitchinterval(switch)
+        for (vm, vdisk), records in per_disk.items():
+            prefixes = {}
+            for disks in scrapes:
+                got = disks.get(f"{vm}/{vdisk}")
+                if got is None:
+                    continue
+                n = got["commands"]
+                if n not in prefixes:
+                    prefixes[n] = replay_into_collector(
+                        records[:n], VscsiStatsCollector()).to_dict()
+                assert got == prefixes[n]
+            assert scrapes[-1][f"{vm}/{vdisk}"]["commands"] == len(records)
+
 
 class TestOpenMetrics:
     _BUCKET = re.compile(
@@ -198,18 +266,19 @@ class TestOpenMetrics:
 
 class TestRobustness:
     def test_malformed_data_body_keeps_connection(self, server, client):
-        ragged = (struct.pack("!H", 2) + b"vm" + struct.pack("!H", 1)
+        ragged = (struct.pack("!H", 1) + b"s" + struct.pack("!Q", 1)
+                  + struct.pack("!H", 2) + b"vm" + struct.pack("!H", 1)
                   + b"d" + b"\x00" * (RECORD_BYTES - 1))
         with pytest.raises(LiveError, match="whole number"):
-            client._roundtrip(pack_frame(FRAME_DATA, ragged))
+            client._roundtrip(pack_frame(FRAME_DATA_SEQ, ragged))
         assert client.ping()["pong"]  # same connection still serves
         assert client.info()["rejected_frames_total"] == 1
 
     def test_negative_latency_rejected(self, server, client):
         bad = [TraceRecord(0, 1000, 10, 0, 8, True)]
         with pytest.raises(LiveError, match="negative latency"):
-            client._roundtrip(pack_data("vm", "d",
-                                        records_to_bytes(bad)))
+            client._roundtrip(pack_data_seq("s", 1, "vm", "d",
+                                            records_to_bytes(bad)))
         assert client.ping()["pong"]
 
     def test_out_of_order_frame_rejected_batchwise(self, server, client):
@@ -229,6 +298,25 @@ class TestRobustness:
         with pytest.raises(LiveError, match="unknown control op"):
             client._control("transmogrify")
         assert client.ping()["pong"]
+
+    def test_unsequenced_data_frame_refused_then_sequenced_one_acked(
+            self, server, client):
+        """0x01, the retired unsequenced data frame, is an unknown type
+        like any other; the same connection then ingests the same
+        records as a ``DATA_SEQ`` frame, exactly as offline replay."""
+        records = _records(100)
+        body = records_to_bytes(records)
+        names = struct.pack("!H", 3) + b"vm0" + struct.pack("!H", 2) + b"d0"
+        client.ping()
+        sock = client._sock
+        with pytest.raises(LiveError, match="unknown frame type 0x01"):
+            client._roundtrip(pack_frame(0x01, names + body))
+        ack = client._roundtrip(pack_data_seq("s", 1, "vm0", "d0", body))
+        assert ack["accepted"] == len(records)
+        assert client._sock is sock
+        snap = client.snapshot(scope="all")
+        offline = replay_columns(records_to_columns(records))
+        assert snap["disks"]["vm0/d0"] == offline.to_dict()
 
     def test_oversized_length_prefix_drops_connection(self, server):
         with socket.create_connection(server.address, timeout=5.0) as sock:
@@ -250,10 +338,10 @@ class TestRobustness:
                               backpressure="drop")
         srv.start()
         try:
-            frame_a = pack_data("vm", "d",
-                                records_to_bytes(_records(10)))[5:]
-            frame_b = pack_data(
-                "vm", "d",
+            frame_a = pack_data_seq("a", 1, "vm", "d",
+                                    records_to_bytes(_records(10)))[5:]
+            frame_b = pack_data_seq(
+                "b", 1, "vm", "d",
                 records_to_bytes(_records(10, start_serial=10,
                                           start_ns=10**9)),
             )[5:]
@@ -261,7 +349,7 @@ class TestRobustness:
             acks = {}
 
             def send_a():
-                acks["a"] = srv._handle_data(frame_a)
+                acks["a"] = srv._handle_data_seq(frame_a)
 
             thread = threading.Thread(target=send_a)
             try:
@@ -270,7 +358,7 @@ class TestRobustness:
                 while (srv._workers[0].queue.qsize() < 1
                        and time.monotonic() < deadline):
                     time.sleep(0.01)
-                acks["b"] = srv._handle_data(frame_b)  # queue full: shed
+                acks["b"] = srv._handle_data_seq(frame_b)  # full: shed
             finally:
                 srv._resume_workers(barriers)
             thread.join(timeout=5.0)
@@ -294,7 +382,7 @@ class TestRobustness:
         with LiveStatsClient(*srv.address) as cli:
             cli.publish_columns(
                 "vm0", "d0", records_to_columns(records), frame_records=100)
-        srv.close()  # drain=True: the unsealed epoch must survive
+        srv.close()  # drains: the unsealed epoch must survive
         snap = srv.snapshot_dict(scope="all")
         offline = replay_columns(records_to_columns(records))
         assert snap["disks"]["vm0/d0"] == offline.to_dict()

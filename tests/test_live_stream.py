@@ -21,7 +21,7 @@ from repro.live.epochs import EpochLedger
 from repro.live.protocol import (
     ProtocolError,
     bytes_to_columns,
-    records_to_bytes,
+    columns_to_bytes,
 )
 from repro.live.stream import DiskStream
 from repro.parallel.trace_io import records_to_columns, replay_columns
@@ -35,7 +35,7 @@ def _columns(records, wire=True):
     """Columns as the daemon sees them (read-only views over a frame
     body) or as a publisher builds them (typed arrays)."""
     if wire:
-        return bytes_to_columns(records_to_bytes(records))
+        return bytes_to_columns(columns_to_bytes(records_to_columns(records)))
     return records_to_columns(records)
 
 

@@ -32,7 +32,7 @@ from repro.core.tracing import TraceRecord, replay_into_collector
 from repro.faults import FaultPlan, inject
 from repro.live import LiveStatsClient, LiveStatsServer, render_openmetrics
 from repro.live.epochs import Epoch, EpochLedger
-from repro.live.protocol import bytes_to_columns, records_to_bytes
+from repro.live.protocol import bytes_to_columns, columns_to_bytes
 from repro.live.stream import DiskStream
 from repro.parallel.trace_io import records_to_columns, replay_columns
 from repro.store import HistogramStore
@@ -252,7 +252,8 @@ class TestObserveEpochShapes:
     def test_accepts_epoch_object_and_uses_its_index(self):
         service = HistogramService()
         service.adopt(("vm", "d0"), _seq_read_collector())
-        epoch = Epoch(7, service, records=400, sealed_unix=1.0)
+        epoch = Epoch(7, service, records=400, sealed_unix=1.0,
+                      span_ns=(0, 10**9))
         analyzer = _analyzer()
         [v] = analyzer.observe_epoch(epoch)
         assert v.epoch == 7
@@ -597,7 +598,7 @@ class TestFingerprintScaleFree:
 # Partition invariance (acceptance property)
 # ----------------------------------------------------------------------
 def _columns(records):
-    return bytes_to_columns(records_to_bytes(records))
+    return bytes_to_columns(columns_to_bytes(records_to_columns(records)))
 
 
 def _make_records(raw):

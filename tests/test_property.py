@@ -55,12 +55,6 @@ class TestHistogramProperties:
         assert ab.counts == ba.counts
         assert ab.count == len(left) + len(right)
 
-    @given(st.lists(values, max_size=100))
-    def test_serde_roundtrip(self, data):
-        hist = Histogram(SEEK_DISTANCE_BINS)
-        hist.insert_many(data)
-        assert Histogram.from_dict(hist.to_dict()) == hist
-
     @given(st.lists(st.integers(min_value=0, max_value=2**20), max_size=150))
     def test_rebin_preserves_mass(self, data):
         hist = Histogram(IO_LENGTH_BINS)

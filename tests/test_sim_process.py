@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine, SimulationError, us
-from repro.sim.process import Barrier, Process, Signal, Timeout, all_of
+from repro.sim.process import Process, Signal, Timeout, all_of
 
 
 class TestTimeout:
@@ -98,35 +98,6 @@ class TestSignal:
         signal.fire("v")
         assert signal.fired
         assert signal.value == "v"
-
-
-class TestBarrier:
-    def test_barrier_releases_on_last_arrival(self):
-        engine = Engine()
-        barrier = Barrier(engine, parties=3)
-        released = []
-
-        def body(proc):
-            yield barrier
-            released.append(engine.now)
-
-        Process(engine, body)
-        engine.schedule(us(1), barrier.arrive)
-        engine.schedule(us(2), barrier.arrive)
-        engine.schedule(us(9), barrier.arrive)
-        engine.run()
-        assert released == [us(9)]
-
-    def test_barrier_resets_for_next_generation(self):
-        engine = Engine()
-        barrier = Barrier(engine, parties=2)
-        for _ in range(4):
-            barrier.arrive()
-        assert barrier.generation == 2
-
-    def test_bad_parties_rejected(self):
-        with pytest.raises(SimulationError):
-            Barrier(Engine(), parties=0)
 
 
 class TestAllOf:

@@ -353,13 +353,6 @@ class TestExtendedCodec:
         exact = extended.merge(base)
         assert merged.to_dict() == exact.to_dict()
 
-    def test_from_dict_tolerates_missing_extended_families(self):
-        data = collector_base_only().to_dict()
-        for name in EXTENDED_FAMILIES:
-            data["families"].pop(name, None)
-        restored = VscsiStatsCollector.from_dict(data)
-        assert restored.write_amp_pct.writes.count == 0
-
 
 # ----------------------------------------------------------------------
 # The experiment

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.core.bins import BinScheme
 from repro.core.collector import MetricFamily, VscsiStatsCollector
-from repro.core.service import HistogramService
 from repro.store import codec
 from repro.store.codec import (
     COLLECTOR_MAGIC,
@@ -226,28 +225,3 @@ class TestCodecV2:
         for cut in (9, 40, len(blob) - 1):
             with pytest.raises(ValueError):
                 collector_from_bytes(blob[:cut])
-
-
-class TestDictRoundTrip:
-    """The codec's JSON siblings: ``to_dict``/``from_dict`` inverses."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(collector_strategy)
-    def test_collector_from_dict(self, collector):
-        assert VscsiStatsCollector.from_dict(collector.to_dict()) == collector
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(op_strategy, max_size=20))
-    def test_service_from_dict(self, ops):
-        service = HistogramService()
-        service.adopt(("vm1", "scsi0:0"), build_collector(ops))
-        assert HistogramService.from_dict(service.to_dict()) == service
-
-    def test_service_from_dict_rejects_duplicates(self):
-        service = HistogramService()
-        service.adopt(("vm1", "d0"),
-                      build_collector([(10, True, 0, 8, 0, 5_000)]))
-        data = service.to_dict()
-        data["disks"].append(data["disks"][0])
-        with pytest.raises(ValueError, match="duplicate"):
-            HistogramService.from_dict(data)

@@ -2,51 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Engine, us
-from repro.workloads.base import ClosedLoop, Workload
-
-
-class TestClosedLoop:
-    def test_reissues_on_completion(self):
-        engine = Engine()
-        loop = ClosedLoop(engine)
-
-        def issue_one(again):
-            engine.schedule(us(10), again)
-
-        loop.launch(issue_one)
-        engine.run(until=us(100))
-        # t=10,20,...,100 -> 10 completions.
-        assert loop.operations == 10
-
-    def test_population_counts_threads(self):
-        engine = Engine()
-        loop = ClosedLoop(engine)
-        for _ in range(3):
-            loop.launch(lambda again: engine.schedule(us(10), again))
-        assert loop.population == 3
-        engine.run(until=us(50))
-        assert loop.operations == 15
-
-    def test_stop_halts_reissue(self):
-        engine = Engine()
-        loop = ClosedLoop(engine)
-        loop.launch(lambda again: engine.schedule(us(10), again))
-        engine.run(until=us(30))
-        loop.stop()
-        at_stop = loop.operations
-        engine.run(until=us(200))
-        # The in-flight operation may finish; nothing more is issued.
-        assert loop.operations <= at_stop + 1
-
-    def test_running_flag(self):
-        engine = Engine()
-        loop = ClosedLoop(engine)
-        assert not loop.running
-        loop.launch(lambda again: engine.schedule(us(10), again))
-        assert loop.running
-        loop.stop()
-        assert not loop.running
+from repro.workloads.base import Workload
 
 
 class TestWorkloadInterface:
