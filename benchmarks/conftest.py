@@ -15,8 +15,8 @@ __all__ = ["print_panel", "print_series"]
 def pytest_configure(config):
     """Autosave pytest-benchmark results for every benchmark run, so
     ``pytest-benchmark compare`` has a local history to diff against
-    (the committed gates live in the ``BENCH_*.json`` records +
-    ``compare_bench.py``, and in ``benchmarks/pipeline/``)."""
+    (the repository's performance benchmark is ``benchmarks/pipeline/``,
+    compared in A/B sets with its ``spread.py`` and ``compare.py``)."""
     if hasattr(config.option, "benchmark_autosave"):
         config.option.benchmark_autosave = True
 

@@ -35,8 +35,6 @@ import uuid
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..core.collector import DEFAULT_TIME_SLOT_NS
-from ..core.window import DEFAULT_WINDOW_SIZE
 from ..live.exposition import render_openmetrics
 from ..live.protocol import (
     FRAME_CONTROL,
@@ -96,22 +94,14 @@ class FleetAggregator:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  node: Optional[str] = None,
                  parents=None,
-                 window_size: int = DEFAULT_WINDOW_SIZE,
-                 time_slot_ns: int = DEFAULT_TIME_SLOT_NS,
                  store=None,
                  idle_timeout: Optional[float] = 60.0,
-                 online=False,
-                 uplink_jitter_seed=None,
-                 uplink_failover_attempts: Optional[int] = None,
-                 uplink_max_replay: Optional[int] = None):
+                 online=False):
         self.host = host
         self.port = port
         self.node = node or f"agg-{uuid.uuid4().hex[:8]}"
-        self.window_size = window_size
-        self.time_slot_ns = time_slot_ns
         self.idle_timeout = idle_timeout
-        self.ledger = FleetLedger(window_size=window_size,
-                                  time_slot_ns=time_slot_ns)
+        self.ledger = FleetLedger()
 
         self._owns_store = False
         if store is not None and not hasattr(store, "append"):
@@ -135,15 +125,8 @@ class FleetAggregator:
 
         self.uplink: Optional[FleetUplink] = None
         if parents:
-            kwargs = {}
-            if uplink_jitter_seed is not None:
-                kwargs["jitter_seed"] = uplink_jitter_seed
-            if uplink_failover_attempts is not None:
-                kwargs["failover_attempts"] = uplink_failover_attempts
-            if uplink_max_replay is not None:
-                kwargs["max_replay"] = uplink_max_replay
             self.uplink = FleetUplink(parents, host=self.node,
-                                      node=self.node, **kwargs)
+                                      node=self.node)
         self.role = "regional" if self.uplink is not None else "root"
 
         self._lock = threading.Lock()
@@ -194,8 +177,7 @@ class FleetAggregator:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    def close(self, drain: bool = True,
-              drain_timeout: float = 10.0) -> None:
+    def close(self) -> None:
         if self._closed:
             return
         self._closed = True
@@ -227,8 +209,7 @@ class FleetAggregator:
         for thread in list(self._conn_threads):
             thread.join(timeout=5.0)
         if self.uplink is not None:
-            if drain:
-                self.uplink.drain(timeout=drain_timeout)
+            self.uplink.drain(timeout=10.0)
             self.uplink.close()
         if self.store is not None and self._owns_store:
             try:

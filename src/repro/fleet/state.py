@@ -26,9 +26,8 @@ import time
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.collector import DEFAULT_TIME_SLOT_NS, VscsiStatsCollector
+from ..core.collector import VscsiStatsCollector
 from ..core.service import DiskKey
-from ..core.window import DEFAULT_WINDOW_SIZE
 from ..store.codec import collector_to_bytes, merge_collector_payloads
 
 __all__ = ["COMPACT_AT", "FleetLedger", "HostState"]
@@ -101,11 +100,7 @@ class FleetLedger:
     under its session lock.
     """
 
-    def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE,
-                 time_slot_ns: int = DEFAULT_TIME_SLOT_NS,
-                 compact_at: int = COMPACT_AT):
-        self.window_size = window_size
-        self.time_slot_ns = time_slot_ns
+    def __init__(self, compact_at: int = COMPACT_AT):
         self.compact_at = compact_at
         self.hosts: Dict[str, HostState] = {}
         self.epochs_applied_total = 0

@@ -380,21 +380,30 @@ class TestFleetTree:
                                  parents=[root.address]) as reg_b:
                 hosts = {"esx-a": reg_a, "esx-b": reg_a, "esx-c": reg_b}
                 unions = []
+                start = time.time()
                 for host, regional in hosts.items():
                     snapshots, union = _host_epochs(host, 2)
                     unions.append(union)
                     with _fast_uplink([regional.address],
                                       host=host) as uplink:
                         for header, payload in snapshots:
-                            uplink.enqueue(header, payload)
+                            uplink.enqueue(dict(header,
+                                                sealed_unix=time.time()),
+                                           payload)
                         assert uplink.drain(timeout=10.0)
                 for regional in (reg_a, reg_b):
                     assert regional.uplink.drain(timeout=10.0)
+                elapsed = time.time() - start
             expected = _expected_disks(_merge_unions(*unions))
             doc = root.snapshot_dict()
             assert doc["hosts"] == 3
             assert doc["epochs_applied"] == 6
             assert _canon(doc["disks"]) == _canon(expected)
+            # Staleness is the tree's own lag: one sample per applied
+            # epoch, none older than the whole drain took.
+            staleness = root.info()["staleness"]
+            assert staleness["samples"] == 6
+            assert staleness["max"] <= elapsed + 0.05
 
     def test_reparent_replay_never_double_counts(self):
         with FleetAggregator(port=0, node="root") as root:

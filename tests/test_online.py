@@ -194,6 +194,26 @@ class TestHysteresis:
             assert not v.drift_event
         assert analyzer.drift_events_total == 0
 
+    def test_square_wave_fires_one_event_per_flip(self):
+        """Personalities flip every 8 epochs over 40 under the default
+        config: each flip outlasts K, so each fires exactly one event
+        and no steady stretch fires any; a second fold over the same
+        epochs repeats every verdict."""
+        epochs = [_zipf_write_collector(seed=i) if (i // 8) % 2
+                  else _seq_read_collector(lba0=i * 1000)
+                  for i in range(40)]
+
+        def fold():
+            analyzer = OnlineAnalyzer()
+            verdicts = [v.to_dict() for collector in epochs
+                        for v in analyzer.observe_epoch(_pairs(collector))]
+            return verdicts, analyzer.drift_events_total
+
+        verdicts, events = fold()
+        assert len(verdicts) == 40
+        assert events == (40 - 1) // 8
+        assert fold() == (verdicts, events)
+
 
 class TestIdleEpochs:
     def test_idle_epoch_classified_without_personality(self):
