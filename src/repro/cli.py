@@ -709,7 +709,7 @@ def _cmd_fleet_attach(args: argparse.Namespace) -> int:
             if collector is None:
                 continue
             epoch = ledger.seal([(key, collector)])
-            uplink.forward_epoch(epoch)
+            uplink.on_seal(epoch)
         drained = uplink.drain(timeout=args.timeout)
     finally:
         uplink.close()

@@ -10,10 +10,10 @@ is queryable with the ordinary ``repro store`` tooling.
 
 Exactness at this layer (see :mod:`repro.fleet.state` for the model):
 
-* Per-link ``(session, seq)`` ack cache — a retried frame is answered
-  with the original ack bytes, never re-merged.  ``fleet-hello`` seeds
-  the watermark on reconnect, exactly like the live daemon's session
-  hello.
+* Per-link ``(session, seq)`` ack cache — the live daemon's
+  :class:`~repro.live.session.SessionTable`: a retried frame is
+  answered with the original ack bytes, never re-merged, and
+  ``fleet-hello`` seeds the watermark on reconnect.
 * Per-``(host, epoch)`` watermarks — a duplicate arriving through a
   *different* link (re-parented child, full replay) is acknowledged
   ``{"applied": false, "duplicate": true}`` and not merged.  Relay
@@ -27,12 +27,10 @@ OpenMetrics ``metrics`` exposition.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
 import uuid
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..live.exposition import render_openmetrics
@@ -45,6 +43,18 @@ from ..live.protocol import (
     read_frame_view,
     unpack_control,
 )
+from ..live.server import (
+    build_analyzer,
+    close_connections,
+    close_listener,
+    close_store,
+    online_info,
+    online_metrics,
+    open_store,
+    store_info,
+    verdicts_doc,
+)
+from ..live.session import SessionTable, write_frame
 from ..store.codec import collector_from_bytes
 from .protocol import FRAME_SNAPSHOT, snapshot_extents, unpack_snapshot
 from .queries import percentile_doc, topk
@@ -52,30 +62,6 @@ from .state import FleetLedger
 from .uplink import FleetUplink
 
 __all__ = ["FleetAggregator"]
-
-#: LRU ceiling on remembered child sessions; in-flight entries are
-#: always retained (each holds its ack), old idle links age out.
-_MAX_SESSIONS = 4096
-
-
-class _ChildSession:
-    # ``last_unix`` is display-only; idle ages are computed from
-    # ``last_mono`` so a wall-clock step cannot age (or rejuvenate) a
-    # link.
-    __slots__ = ("seq", "response", "last_unix", "last_mono",
-                 "snapshots")
-
-    def __init__(self, seq: int, response: bytes):
-        self.seq = seq
-        self.response = response
-        self.last_unix = time.time()
-        self.last_mono = time.monotonic()
-        self.snapshots = 0
-
-    def touch(self) -> None:
-        self.last_unix = time.time()
-        self.last_mono = time.monotonic()
-
 
 class FleetAggregator:
     """One TCP aggregation node (root or regional).
@@ -103,25 +89,12 @@ class FleetAggregator:
         self.idle_timeout = idle_timeout
         self.ledger = FleetLedger()
 
-        self._owns_store = False
-        if store is not None and not hasattr(store, "append"):
-            from ..store import HistogramStore
-            store = HistogramStore.open_or_create(store)
-            self._owns_store = True
-        self.store = store
+        self.store, self._owns_store = open_store(store)
         self.degraded = False
         self.persist_errors: List[Dict] = []
 
-        self.analyzer = None
+        self.analyzer = build_analyzer(online)
         self.analysis_errors_total = 0
-        if online:
-            from ..analysis.online import DriftConfig, OnlineAnalyzer
-            if hasattr(online, "observe_epoch"):
-                self.analyzer = online
-            elif isinstance(online, DriftConfig):
-                self.analyzer = OnlineAnalyzer(online)
-            else:
-                self.analyzer = OnlineAnalyzer()
 
         self.uplink: Optional[FleetUplink] = None
         if parents:
@@ -130,7 +103,7 @@ class FleetAggregator:
         self.role = "regional" if self.uplink is not None else "root"
 
         self._lock = threading.Lock()
-        self._sessions: "OrderedDict[str, _ChildSession]" = OrderedDict()
+        self._sessions = SessionTable("fleet-hello")
         self.duplicate_frames_total = 0
         self.rejected_frames_total = 0
         self.connections_total = 0
@@ -183,27 +156,10 @@ class FleetAggregator:
         self._closed = True
         self._stopping.set()
         if self._listener is not None:
-            try:
-                socket.create_connection(self.address, timeout=1.0).close()
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
-        # A handler blocked reading from an idle child only wakes when
-        # its socket is shut down; the joins below are the backstop.
+            close_listener(self._listener, self.address)
         with self._conns_lock:
             conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        close_connections(conns)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         for thread in list(self._conn_threads):
@@ -212,11 +168,8 @@ class FleetAggregator:
             self.uplink.drain(timeout=10.0)
             self.uplink.close()
         if self.store is not None and self._owns_store:
-            try:
-                self.store.checkpoint()
-                self.store.close()
-            except (OSError, ValueError) as exc:
-                self._note_persist_failure(None, f"close: {exc}")
+            close_store(self.store, lambda message:
+                        self._note_persist_failure(None, message))
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -254,8 +207,7 @@ class FleetAggregator:
                     frame = read_frame_view(rfile, head)
                 except ProtocolError as exc:
                     self.rejected_frames_total += 1
-                    wfile.write(pack_error(str(exc)))
-                    wfile.flush()
+                    write_frame(wfile, pack_error(str(exc)))
                     return
                 except (socket.timeout, TimeoutError):
                     return
@@ -275,8 +227,7 @@ class FleetAggregator:
                 except (ProtocolError, ValueError) as exc:
                     self.rejected_frames_total += 1
                     response = pack_error(str(exc))
-                wfile.write(response)
-                wfile.flush()
+                write_frame(wfile, response)
         except (OSError, ValueError):
             return
         finally:
@@ -290,68 +241,32 @@ class FleetAggregator:
     # ------------------------------------------------------------------
     # Snapshot ingestion
     # ------------------------------------------------------------------
-    def _session(self, session: str) -> Optional[_ChildSession]:
-        entry = self._sessions.get(session)
-        if entry is not None:
-            self._sessions.move_to_end(session)
-        return entry
-
-    def _remember(self, session: str, entry: _ChildSession) -> None:
-        self._sessions[session] = entry
-        self._sessions.move_to_end(session)
-        while len(self._sessions) > _MAX_SESSIONS:
-            self._sessions.popitem(last=False)
-
     def _handle_snapshot(self, payload) -> bytes:
         session, seq, header, body = unpack_snapshot(payload)
-        relay: Optional[Tuple[Dict, bytes]] = None
         with self._lock:
-            entry = self._session(session)
-            if entry is not None:
-                if seq == entry.seq:
-                    # Retry of the frame we just acked (or a seeded
-                    # watermark): answer with the original bytes.
-                    self.duplicate_frames_total += 1
-                    entry.touch()
-                    return entry.response
-                if seq < entry.seq:
-                    raise ProtocolError(
-                        f"stale sequence {seq} for session {session!r} "
-                        f"(last processed {entry.seq})")
-                if seq > entry.seq + 1:
-                    raise ProtocolError(
-                        f"sequence gap for session {session!r}: got "
-                        f"{seq}, expected {entry.seq + 1}")
-            elif seq != 1:
-                raise ProtocolError(
-                    f"unknown session {session!r} must start at "
-                    f"sequence 1, got {seq} (send fleet-hello after a "
-                    f"reconnect)")
-            payload_bytes = bytes(body)
-            applied, staleness = self.ledger.apply(header, payload_bytes,
-                                                   via=session)
-            doc = {"applied": applied, "duplicate": not applied,
-                   "host": header["host"], "epoch": header["epoch"],
-                   "seq": seq, "node": self.node}
-            if staleness is not None:
-                doc["staleness_seconds"] = staleness
-            if applied and (self.store is not None
-                            or self.analyzer is not None):
-                self._record(header, payload_bytes)
-            response = pack_ok(doc)
-            if entry is None:
-                entry = _ChildSession(seq, response)
-                self._remember(session, entry)
-            else:
-                entry.seq = seq
-                entry.response = response
-                entry.touch()
-            entry.snapshots += 1
-            if applied and self.uplink is not None:
-                relay = (header, payload_bytes)
-        if relay is not None:
-            self.uplink.enqueue(*relay)
+            response, fresh = self._sessions.serve(
+                session, seq, lambda: self._apply(session, seq, header, body))
+            if not fresh:
+                self.duplicate_frames_total += 1
         return response
+
+    def _apply(self, session: str, seq: int, header: Dict, body) -> bytes:
+        """Merge one admitted snapshot (persist, analyse and relay it
+        when it is new); its ack.  Under ``_lock``, so relays leave in
+        apply order."""
+        payload = bytes(body)
+        applied, staleness = self.ledger.apply(header, payload, via=session)
+        doc = {"applied": applied, "duplicate": not applied,
+               "host": header["host"], "epoch": header["epoch"],
+               "seq": seq, "node": self.node}
+        if staleness is not None:
+            doc["staleness_seconds"] = staleness
+        if applied and (self.store is not None
+                        or self.analyzer is not None):
+            self._record(header, payload)
+        if applied and self.uplink is not None:
+            self.uplink.enqueue(header, payload)
+        return pack_ok(doc)
 
     def _record(self, header: Dict, payload: bytes) -> None:
         """Persist, then analyse, one applied snapshot (root only).
@@ -426,7 +341,12 @@ class FleetAggregator:
                             "role": self.role,
                             "hosts": len(self.ledger.hosts)})
         if name == "fleet-hello":
-            return pack_ok(self._handle_hello(op))
+            # A replay of the declared watermark is acknowledged as a
+            # seeded duplicate.
+            doc = self._sessions.hello(op, lambda seq: pack_ok(
+                {"applied": False, "duplicate": True, "seq": seq,
+                 "node": self.node, "seeded": True}))
+            return pack_ok(dict(doc, node=self.node))
         if name in ("status", "info"):
             return pack_ok(self.info())
         if name == "topk":
@@ -448,30 +368,6 @@ class FleetAggregator:
         if name == "metrics":
             return pack_text(self.openmetrics())
         raise ProtocolError(f"unknown control op {name!r}")
-
-    def _handle_hello(self, op: Dict) -> Dict:
-        session = op.get("node") or op.get("session")
-        if not isinstance(session, str) or not session:
-            raise ProtocolError("fleet-hello needs a session id")
-        try:
-            seq = int(op.get("seq", 0))
-        except (TypeError, ValueError):
-            raise ProtocolError("fleet-hello seq must be an integer") \
-                from None
-        if seq < 0:
-            raise ProtocolError(f"fleet-hello seq must be >= 0, got {seq}")
-        with self._lock:
-            entry = self._session(session)
-            if entry is None and seq > 0:
-                # Seed the watermark: a replay of seq itself is
-                # answered from this cached (duplicate) ack, and seq+1
-                # continues the stream gaplessly.
-                entry = _ChildSession(seq, pack_ok(
-                    {"applied": False, "duplicate": True, "seq": seq,
-                     "node": self.node, "seeded": True}))
-                self._remember(session, entry)
-            known = entry.seq if entry is not None else 0
-        return {"session": session, "seq": known, "node": self.node}
 
     # ------------------------------------------------------------------
     # Queries
@@ -541,28 +437,14 @@ class FleetAggregator:
 
     def verdicts_dict(self) -> Dict:
         """Rolling per-disk drift verdicts (root ``verdicts`` query)."""
-        if self.analyzer is None:
-            return {"online": False, "node": self.node, "role": self.role}
         with self._lock:
-            doc = self.analyzer.to_dict()
-        doc["online"] = True
-        doc["node"] = self.node
-        doc["role"] = self.role
-        doc["analysis_errors_total"] = self.analysis_errors_total
-        return doc
+            doc = verdicts_doc(self)
+        return dict(doc, node=self.node, role=self.role)
 
     def info(self) -> Dict:
-        now_mono = time.monotonic()
         with self._lock:
             staleness = self.ledger.staleness_summary()
-            children = {
-                session: {"seq": entry.seq,
-                          "snapshots": entry.snapshots,
-                          "last_unix": entry.last_unix,
-                          "idle_seconds":
-                              max(0.0, now_mono - entry.last_mono)}
-                for session, entry in self._sessions.items()
-            }
+            children = self._sessions.describe(count="snapshots")
             doc = {
                 "fleet": True,
                 "node": self.node,
@@ -584,22 +466,11 @@ class FleetAggregator:
                 "persist_errors": list(self.persist_errors),
             }
             if self.analyzer is not None:
-                doc["online"] = {
-                    "epochs_seen": self.analyzer.epochs_seen,
-                    "verdicts_total": self.analyzer.verdicts_total,
-                    "drift_events_total": self.analyzer.drift_events_total,
-                    "analysis_errors_total": self.analysis_errors_total,
-                }
+                doc["online"] = online_info(self)
         if self.uplink is not None:
             doc["uplink"] = self.uplink.info()
         if self.store is not None:
-            entry = {"path": str(self.store.path),
-                     "owned": self._owns_store,
-                     "closed": self.store.closed}
-            if not self.store.closed:
-                entry["records"] = len(self.store)
-                entry["epochs"] = self.store.epochs
-            doc["store"] = entry
+            doc["store"] = store_info(self.store, self._owns_store)
         return doc
 
     def openmetrics(self) -> str:
@@ -624,11 +495,7 @@ class FleetAggregator:
             if staleness["p99"] is not None:
                 daemon["fleet_staleness_p50_seconds"] = staleness["p50"]
                 daemon["fleet_staleness_p99_seconds"] = staleness["p99"]
-            verdicts = None
-            if self.analyzer is not None:
-                daemon["analysis_epochs_total"] = self.analyzer.epochs_seen
-                daemon["analysis_errors_total"] = self.analysis_errors_total
-                verdicts = self.analyzer.verdicts()
+            verdicts = online_metrics(self, daemon)
         if self.uplink is not None:
             up = self.uplink.info()
             daemon["fleet_relayed_total"] = up["forwarded_total"]

@@ -35,22 +35,19 @@ for the op table.
 from __future__ import annotations
 
 import json
-import socket
 import struct
 from typing import Dict, List, Tuple, Union
 
 from ..live.protocol import (
-    FRAME_ERROR,
-    FRAME_OK,
-    FRAME_TEXT,
     MAX_FRAME_BYTES,
     ProtocolError,
     encode_extents,
-    pack_control,
     pack_frame,
-    read_frame,
+    pack_session_head,
     snapshot_extents,
+    unpack_session_head,
 )
+from ..live.session import rpc
 
 __all__ = [
     "FRAME_SNAPSHOT",
@@ -65,11 +62,7 @@ __all__ = [
 #: Request frame type of one sealed host epoch (see module docstring).
 FRAME_SNAPSHOT = 0x04
 
-_NAME_LEN = struct.Struct("!H")
-_SEQ = struct.Struct("!Q")
 _HEAD_LEN = struct.Struct("!I")
-
-_RPC_TIMEOUT = 30.0
 
 
 def pack_snapshot(session: str, seq: int, header: Dict,
@@ -81,17 +74,10 @@ def pack_snapshot(session: str, seq: int, header: Dict,
     resend of the same ``(session, seq)`` must be byte-identical —
     that is what lets the parent answer it from the ack cache.
     """
-    if seq < 1:
-        raise ProtocolError(f"sequence number must be >= 1, got {seq}")
-    if not session:
-        raise ProtocolError("session id must be non-empty")
-    raw = session.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ProtocolError(f"session id of {len(raw)} bytes is too long")
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
     return pack_frame(
         FRAME_SNAPSHOT,
-        _NAME_LEN.pack(len(raw)) + raw + _SEQ.pack(seq)
+        pack_session_head(session, seq)
         + _HEAD_LEN.pack(len(head)) + head + payload,
     )
 
@@ -108,24 +94,9 @@ def unpack_snapshot(payload) -> Tuple[str, int, Dict, memoryview]:
     touched.
     """
     view = memoryview(payload)
-    if len(view) < _NAME_LEN.size:
-        raise ProtocolError("snapshot frame truncated in its session header")
-    (slen,) = _NAME_LEN.unpack_from(view, 0)
-    offset = _NAME_LEN.size
-    if len(view) < offset + slen + _SEQ.size + _HEAD_LEN.size:
-        raise ProtocolError("snapshot frame truncated in its session header")
-    try:
-        session = bytes(view[offset:offset + slen]).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"undecodable session id: {exc}") from None
-    offset += slen
-    (seq,) = _SEQ.unpack_from(view, offset)
-    offset += _SEQ.size
-    if not session or seq < 1:
-        raise ProtocolError(
-            "snapshot frame needs a non-empty session id and a sequence "
-            "number >= 1"
-        )
+    session, seq, offset = unpack_session_head(view, "snapshot frame")
+    if len(view) < offset + _HEAD_LEN.size:
+        raise ProtocolError("snapshot frame truncated in its header")
     (head_len,) = _HEAD_LEN.unpack_from(view, offset)
     offset += _HEAD_LEN.size
     if len(view) < offset + head_len:
@@ -232,29 +203,8 @@ def parse_parents(spec: Union[str, List]) -> List[Tuple[str, int]]:
     return parents
 
 
-def fleet_rpc(address: Tuple[str, int], op: Dict,
-              timeout: float = _RPC_TIMEOUT):
-    """One control round-trip against an aggregator.
-
-    Returns the parsed ``OK`` document or the ``TEXT`` payload
-    (OpenMetrics); an ``ERROR`` response raises
-    :class:`~repro.live.client.LiveError`.
-    """
-    from ..live.client import LiveError
-
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.sendall(pack_control(op))
-        rfile = sock.makefile("rb")
-        frame = read_frame(rfile)
-    if frame is None:
-        raise ValueError(f"aggregator at {address} closed mid-command")
-    ftype, payload = frame
-    if ftype == FRAME_ERROR:
-        document = json.loads(payload.decode("utf-8"))
-        raise LiveError(document.get("error", "aggregator error"))
-    if ftype == FRAME_TEXT:
-        return payload.decode("utf-8")
-    if ftype != FRAME_OK:
-        raise ValueError(f"unexpected aggregator frame 0x{ftype:02x}")
-    return json.loads(payload.decode("utf-8"))
+#: One control round-trip against an aggregator: the parsed ``OK``
+#: document or the ``TEXT`` payload (OpenMetrics); an ``ERROR`` response
+#: raises :class:`~repro.live.session.LiveError`
+#: (:func:`repro.live.session.rpc`).
+fleet_rpc = rpc

@@ -23,7 +23,8 @@ Delivery semantics, in layers:
   the outbox.  The new parent may have seen none, some or all of it —
   the per-``(host, epoch)`` watermarks upstream make the replay
   idempotent, so a parent crash loses nothing and a duplicate replay
-  double-counts nothing.
+  double-counts nothing.  Every acked snapshot is kept for that
+  replay, so an uplink's memory grows with the epochs it has sealed.
 * **Fault site** — every send attempt passes through the
   ``fleet.uplink`` site, so seeded
   :class:`~repro.faults.FaultPlan` schedules can reset/delay/truncate
@@ -33,8 +34,6 @@ Delivery semantics, in layers:
 
 from __future__ import annotations
 
-import json
-import random
 import socket
 import threading
 import uuid
@@ -42,19 +41,25 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..faults import fire
-from ..live.client import LiveConnectionError, LiveError
-from ..live.protocol import (
-    FRAME_ERROR,
-    FRAME_OK,
-    ProtocolError,
-    pack_control,
-    read_frame,
+from ..live.protocol import pack_control
+from ..live.session import (
+    DEFAULT_RETRY_BACKOFF,
+    DEFAULT_RETRY_BACKOFF_CAP,
+    DEFAULT_RETRY_JITTER,
+    Backoff,
+    LiveError,
+    read_response,
+    write_frame,
 )
 from .protocol import encode_host_snapshot, pack_snapshot, parse_parents
 
 __all__ = ["FleetUplink"]
 
 DEFAULT_FAILOVER_ATTEMPTS = 3
+
+#: Socket timeout of a parent connection: the connect, each send and
+#: each ack read.
+_TIMEOUT = 10.0
 
 
 class _Pending:
@@ -80,31 +85,20 @@ class FleetUplink:
 
     def __init__(self, parents, host: Optional[str] = None,
                  node: Optional[str] = None,
-                 timeout: Optional[float] = 10.0,
-                 retry_backoff: float = 0.05,
-                 retry_backoff_cap: float = 2.0,
-                 retry_jitter: float = 0.5,
+                 retry_backoff: float = DEFAULT_RETRY_BACKOFF,
+                 retry_backoff_cap: float = DEFAULT_RETRY_BACKOFF_CAP,
+                 retry_jitter: float = DEFAULT_RETRY_JITTER,
                  jitter_seed=None,
-                 failover_attempts: int = DEFAULT_FAILOVER_ATTEMPTS,
-                 max_replay: Optional[int] = None):
+                 failover_attempts: int = DEFAULT_FAILOVER_ATTEMPTS):
         self.parents = parse_parents(parents)
         self.node = node or uuid.uuid4().hex[:12]
         self.host = host or f"host-{self.node}"
-        self.timeout = timeout
-        if retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {retry_backoff}")
-        if not 0.0 <= retry_jitter <= 1.0:
-            raise ValueError(
-                f"retry_jitter must be in [0, 1], got {retry_jitter}")
         if failover_attempts < 1:
             raise ValueError(
                 f"failover_attempts must be >= 1, got {failover_attempts}")
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
-        self.retry_jitter = retry_jitter
         self.failover_attempts = failover_attempts
-        self._rng = random.Random(
+        self._backoff = Backoff(
+            retry_backoff, retry_backoff_cap, retry_jitter,
             jitter_seed if jitter_seed is not None else self.node)
 
         self._parent_index = 0
@@ -115,12 +109,9 @@ class FleetUplink:
         self._last_acked = 0
 
         self._outbox: Deque[_Pending] = deque()
-        #: Acked snapshots, kept (bounded by ``max_replay``) for full
-        #: replay after a re-parent.  Dropping old entries only costs
-        #: replay coverage for parents that never saw them — with a
-        #: root that persists, history older than the bound has long
-        #: been merged everywhere.
-        self._acked: Deque[_Pending] = deque(maxlen=max_replay)
+        #: Every acked snapshot, kept for the full replay after a
+        #: re-parent.
+        self._acked: List[_Pending] = []
         self._cond = threading.Condition()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -170,9 +161,6 @@ class FleetUplink:
         """``LiveStatsServer``/``ClusterServer`` ``on_seal`` hook."""
         header, payload = encode_host_snapshot(self.host, epoch)
         self.enqueue(header, payload)
-
-    #: Alias for callers holding an epoch rather than a hook slot.
-    forward_epoch = on_seal
 
     def enqueue(self, header: Dict, payload: bytes) -> None:
         """Queue one already-encoded snapshot (relay path)."""
@@ -229,8 +217,8 @@ class FleetUplink:
         self._last_acked = 0
         self._failures = 0
         self.reparents_total += 1
-        replay = list(self._acked)
-        self._acked.clear()
+        replay = self._acked
+        self._acked = []
         for item in replay + list(self._outbox):
             item.seq = None
         self._outbox.extendleft(reversed(replay))
@@ -252,7 +240,7 @@ class FleetUplink:
     def _ensure_connection(self) -> None:
         if self._sock is not None:
             return
-        sock = socket.create_connection(self.parent, timeout=self.timeout)
+        sock = socket.create_connection(self.parent, timeout=_TIMEOUT)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._rfile = sock.makefile("rb")
@@ -262,23 +250,10 @@ class FleetUplink:
             # Declare the ack watermark before any replay, so a parent
             # that restarted (empty ack cache) learns it instead of
             # racing the replayed frames.
-            self._control_roundtrip({"op": "fleet-hello",
-                                     "node": self.session,
-                                     "seq": self._last_acked})
-
-    def _control_roundtrip(self, op: Dict) -> Dict:
-        self._wfile.write(pack_control(op))
-        self._wfile.flush()
-        frame = read_frame(self._rfile)
-        if frame is None:
-            raise LiveConnectionError("parent closed during control op")
-        ftype, payload = frame
-        if ftype == FRAME_ERROR:
-            document = json.loads(payload.decode("utf-8"))
-            raise LiveError(document.get("error", "parent error"))
-        if ftype != FRAME_OK:
-            raise ProtocolError(f"unexpected response type 0x{ftype:02x}")
-        return json.loads(payload.decode("utf-8"))
+            write_frame(self._wfile, pack_control(
+                {"op": "fleet-hello", "node": self.session,
+                 "seq": self._last_acked}))
+            read_response(self._rfile)
 
     def _send_one(self, item: _Pending, session: str) -> Dict:
         self._ensure_connection()
@@ -288,26 +263,9 @@ class FleetUplink:
         action = fire("fleet.uplink", node=self.node,
                       host=item.header.get("host"),
                       epoch=item.header.get("epoch"), point="send")
-        frame = pack_snapshot(session, item.seq, item.header, item.payload)
-        if action is not None and action.kind == "partial":
-            # Injected short write: emit a truncated frame, then fail
-            # the way a dying TCP connection would.
-            cut = max(1, int(len(frame) * action.fraction))
-            self._wfile.write(frame[:cut])
-            self._wfile.flush()
-            raise ConnectionResetError("injected short snapshot write")
-        self._wfile.write(frame)
-        self._wfile.flush()
-        frame = read_frame(self._rfile)
-        if frame is None:
-            raise LiveConnectionError("parent closed before the ack")
-        ftype, payload = frame
-        if ftype == FRAME_ERROR:
-            document = json.loads(payload.decode("utf-8"))
-            raise LiveError(document.get("error", "parent error"))
-        if ftype != FRAME_OK:
-            raise ProtocolError(f"unexpected ack type 0x{ftype:02x}")
-        return json.loads(payload.decode("utf-8"))
+        write_frame(self._wfile, pack_snapshot(
+            session, item.seq, item.header, item.payload), action)
+        return read_response(self._rfile)
 
     # ------------------------------------------------------------------
     # Sender loop
@@ -338,7 +296,8 @@ class FleetUplink:
                 if self._failures >= self.failover_attempts:
                     with self._cond:
                         self._reparent_locked()
-                self._sleep_backoff()
+                self._stop.wait(
+                    self._backoff.delay(max(0, self._failures - 1)))
                 continue
             with self._cond:
                 self._failures = 0
@@ -350,14 +309,6 @@ class FleetUplink:
                 if not ack.get("applied", True):
                     self.duplicate_acks_total += 1
                 self._cond.notify_all()
-
-    def _sleep_backoff(self) -> None:
-        base = self.retry_backoff * (2 ** max(0, self._failures - 1))
-        delay = min(base, self.retry_backoff_cap)
-        if delay > 0 and self.retry_jitter > 0:
-            delay *= 1.0 - self.retry_jitter * self._rng.random()
-        if delay > 0:
-            self._stop.wait(delay)
 
     # ------------------------------------------------------------------
     def info(self) -> Dict:

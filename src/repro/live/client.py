@@ -51,8 +51,6 @@ so far as ``LiveError.partial``.
 
 from __future__ import annotations
 
-import json
-import random
 import socket
 import time
 import uuid
@@ -61,16 +59,22 @@ from typing import Dict, Optional
 from ..faults import fire
 from ..parallel.trace_io import TraceColumns
 from .protocol import (
-    FRAME_ERROR,
-    FRAME_OK,
-    FRAME_TEXT,
     RECORD_BYTES,
     ProtocolError,
     columns_to_bytes,
     pack_control,
     pack_data_seq,
-    read_frame,
     sort_columns_for_stream,
+)
+from .session import (
+    DEFAULT_RETRY_BACKOFF,
+    DEFAULT_RETRY_BACKOFF_CAP,
+    DEFAULT_RETRY_JITTER,
+    Backoff,
+    LiveConnectionError,
+    LiveError,
+    read_response,
+    write_frame,
 )
 
 __all__ = [
@@ -90,41 +94,10 @@ DEFAULT_FRAME_RECORDS = 32_768
 #: Default data-frame retry budget (attempts beyond the first).
 DEFAULT_RETRIES = 4
 
-#: First backoff sleep; doubles per retry up to the cap.
-DEFAULT_RETRY_BACKOFF = 0.05
-DEFAULT_RETRY_BACKOFF_CAP = 2.0
-
-#: Fraction of each backoff sleep randomized away.  A fleet of clients
-#: (or uplinks) reconnecting after one shared event — a parent restart,
-#: a network blip — would otherwise all retry on the identical
-#: exponential schedule and thundering-herd the server in lockstep
-#: waves; subtracting up to half of every sleep decorrelates them.
-DEFAULT_RETRY_JITTER = 0.5
-
 #: Redirect hops (and dead-route fallbacks) tolerated per data chunk
 #: before giving up — bounds a routing loop during a cluster
 #: generation change.
 _MAX_REDIRECTS = 8
-
-
-class LiveError(RuntimeError):
-    """An ``ERROR`` response from the daemon, or a failed publish.
-
-    ``partial`` (when set) carries the ``{"records", "frames",
-    "accepted", "dropped", "ignored", "retried"}`` totals accumulated
-    before a mid-stream failure, so a publisher can resume from the
-    first unacknowledged frame instead of restarting blind.
-
-    ``redirect`` (when set) is the ``[host, port]`` of the cluster
-    worker that owns the frame's disk; the data plane follows it
-    automatically, so callers only see it on control-plane errors.
-    """
-
-    def __init__(self, message: str, partial: Optional[Dict] = None,
-                 redirect=None):
-        super().__init__(message)
-        self.partial = partial
-        self.redirect = redirect
 
 
 class _PeerState:
@@ -142,15 +115,6 @@ class _PeerState:
         self.session = session
         self.seq = 0
         self.last_acked = 0
-
-
-class LiveConnectionError(LiveError, ConnectionError):
-    """The transport died before a response arrived.
-
-    Both a :class:`LiveError` (it ends a live operation) and a
-    :class:`ConnectionError` (it is retried like one): the data plane's
-    retry loop catches it as ``OSError``.
-    """
 
 
 class LiveStatsClient:
@@ -175,21 +139,10 @@ class LiveStatsClient:
                  jitter_seed=None):
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {retry_backoff}"
-            )
-        if not 0.0 <= retry_jitter <= 1.0:
-            raise ValueError(
-                f"retry_jitter must be in [0, 1], got {retry_jitter}"
-            )
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
-        self.retry_jitter = retry_jitter
         #: Lifetime count of data-frame resends (for tests/telemetry).
         self.retries_total = 0
         self._sock: Optional[socket.socket] = None
@@ -201,7 +154,8 @@ class LiveStatsClient:
         # monotone frame counter (see _PeerState).  Session ids
         # survive reconnects — that is the point.
         self._session = uuid.uuid4().hex
-        self._backoff_rng = random.Random(
+        self._backoff = Backoff(
+            retry_backoff, retry_backoff_cap, retry_jitter,
             jitter_seed if jitter_seed is not None else self._session)
         self._peers: Dict[tuple, _PeerState] = {}
         # Disk -> owning worker address, learned from redirects.
@@ -246,35 +200,18 @@ class LiveStatsClient:
         self._connected_to = addr
         state = self._peers.get(addr)
         if state is not None and state.seq > 0:
-            self._hello_roundtrip(state)
-
-    def _hello_roundtrip(self, state: _PeerState) -> None:
-        """Declare ``state``'s ack watermark on a fresh connection.
-
-        Written directly to the new socket (no reconnect recursion,
-        no data-plane fault sites).  Transport failures discard the
-        connection and propagate as the OSError the data plane's
-        retry loop already handles.
-        """
-        frame = pack_control({"op": "hello", "session": state.session,
-                              "seq": state.last_acked})
-        try:
-            self._wfile.write(frame)
-            self._wfile.flush()
-            response = read_frame(self._rfile)
-        except (OSError, ValueError):
-            self.close()
-            raise
-        if response is None:
-            self.close()
-            raise LiveConnectionError("connection closed during hello")
-        ftype, payload = response
-        if ftype == FRAME_ERROR:
-            self.close()
-            raise LiveError(
-                f"session hello rejected: "
-                f"{payload.decode('utf-8', 'replace')}"
-            )
+            # Written straight to the new socket: no reconnect
+            # recursion, no data-plane fault sites.  A failure discards
+            # the connection; a transport one propagates as the
+            # OSError the data plane's retry loop already handles.
+            try:
+                write_frame(self._wfile, pack_control(
+                    {"op": "hello", "session": state.session,
+                     "seq": state.last_acked}))
+                read_response(self._rfile)
+            except (OSError, ValueError, LiveError):
+                self.close()
+                raise
 
     def close(self) -> None:
         if self._sock is not None:
@@ -296,43 +233,16 @@ class LiveStatsClient:
     def _roundtrip(self, frame: bytes, addr: Optional[tuple] = None):
         self._ensure_peer(addr if addr is not None else self._advertised)
         try:
-            action = fire("live.client.send")
-            if action is not None and action.kind == "partial":
-                # Injected short write: emit a truncated frame, then
-                # fail the way a dying TCP connection would.
-                cut = max(1, int(len(frame) * action.fraction))
-                self._wfile.write(frame[:cut])
-                self._wfile.flush()
-                raise ConnectionResetError("injected short frame write")
-            self._wfile.write(frame)
-            self._wfile.flush()
+            write_frame(self._wfile, frame, fire("live.client.send"))
             fire("live.client.recv")
-            response = read_frame(self._rfile)
+            return read_response(self._rfile)
         except (OSError, ValueError):
-            # The transport failed mid-round-trip.  The connection may
-            # hold a half-written request or half-read response, so it
-            # must never be reused — discard it; the next call
-            # reconnects.
+            # The transport failed mid-round-trip (a truncated or
+            # unreadable response included).  The connection may hold
+            # a half-written request or half-read response, so it must
+            # never be reused — discard it; the next call reconnects.
             self.close()
             raise
-        if response is None:
-            self.close()
-            raise LiveConnectionError("connection closed by server")
-        ftype, payload = response
-        if ftype == FRAME_ERROR:
-            redirect = None
-            try:
-                document = json.loads(payload.decode("utf-8"))
-                message = document["error"]
-                redirect = document.get("redirect")
-            except Exception:  # pragma: no cover - defensive
-                message = payload.decode("utf-8", "replace")
-            raise LiveError(message, redirect=redirect)
-        if ftype == FRAME_OK:
-            return json.loads(payload.decode("utf-8"))
-        if ftype == FRAME_TEXT:
-            return payload.decode("utf-8")
-        raise ProtocolError(f"unexpected response type 0x{ftype:02x}")
 
     def _data_roundtrip(self, frame: bytes, addr: Optional[tuple] = None):
         """Round-trip one sequenced data frame with bounded retry.
@@ -344,23 +254,18 @@ class LiveStatsClient:
         carries ``(session, seq)``: the server answers a retry of an
         already-processed frame from its ack cache.
         """
-        delay = self.retry_backoff
         attempt = 0
         while True:
             try:
                 return self._roundtrip(frame, addr)
             except (ProtocolError, OSError):
-                attempt += 1
-                if attempt > self.retries:
+                if attempt >= self.retries:
                     raise
                 self.retries_total += 1
-                sleep = min(delay, self.retry_backoff_cap)
-                if sleep > 0 and self.retry_jitter > 0:
-                    sleep *= 1.0 - self.retry_jitter \
-                        * self._backoff_rng.random()
-                if sleep > 0:
-                    time.sleep(sleep)
-                delay *= 2
+                delay = self._backoff.delay(attempt)
+                if delay > 0:
+                    time.sleep(delay)
+                attempt += 1
 
     def _control(self, op: str, **fields) -> Dict:
         body = {"op": op}
@@ -518,11 +423,17 @@ class LiveStatsClient:
         return self._control("route")
 
     def hello(self) -> Dict:
-        """Explicitly declare this client's ack watermark.
+        """Explicitly declare this client's ack watermark, and number
+        the next frame right after it.
 
         Normally implicit — every reconnect to a previously published
-        peer sends it — but exposed for tests and manual recovery.
+        peer sends it — but exposed for manual recovery: a publisher
+        whose session the daemon evicted is refused ("unknown
+        session"), calls this, then publishes again from
+        ``LiveError.partial``.  A frame past the watermark that the
+        daemon did handle is answered from its ack cache.
         """
         state = self._peer_state(self._advertised)
+        state.seq = state.last_acked
         return self._control("hello", session=state.session,
                              seq=state.last_acked)

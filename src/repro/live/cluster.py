@@ -78,16 +78,12 @@ from ..core.service import DiskKey, HistogramService
 from ..core.window import DEFAULT_WINDOW_SIZE
 from ..faults import activate_from_env, fire
 from ..store.codec import merge_collector_payloads
-from .client import LiveError
 from .epochs import Epoch, EpochLedger
 from .exposition import render_openmetrics
 from .protocol import (
     FRAME_CONTROL,
-    FRAME_ERROR,
-    FRAME_OK,
     ProtocolError,
     encode_extents,
-    pack_control,
     pack_error,
     pack_ok,
     pack_text,
@@ -95,7 +91,21 @@ from .protocol import (
     snapshot_extents,
     unpack_control,
 )
-from .server import LiveStatsServer
+from .server import (
+    LiveStatsServer,
+    RotationTimer,
+    build_analyzer,
+    close_listener,
+    close_store,
+    fire_on_seal,
+    online_info,
+    online_metrics,
+    open_store,
+    snapshot_document,
+    store_info,
+    verdicts_doc,
+)
+from .session import LiveError, rpc, write_frame
 
 __all__ = [
     "ClusterServer",
@@ -136,7 +146,7 @@ _FANIN_HEAD = struct.Struct("!IBI")  # frame length, type, header length
 
 _ROUND_TIMEOUT = 30.0   #: seconds to wait for one rotation's snapshots
 _HELLO_TIMEOUT = 30.0   #: seconds to wait for worker startup
-_RPC_TIMEOUT = 30.0     #: per-command worker RPC timeout
+_RPC_TIMEOUT = 30.0     #: a relayed control op's round-trip timeout
 
 _now = time.monotonic
 
@@ -590,7 +600,8 @@ class ClusterServer:
         self.fd_passing = (force_fd_passing
                            or not hasattr(socket, "SO_REUSEPORT"))
         self.ring_replicas = ring_replicas
-        self.rotate_every = rotate_every
+        self._rotation = (RotationTimer(rotate_every, self.rotate)
+                          if rotate_every else None)
         self.window_size = window_size
         self.time_slot_ns = time_slot_ns
         self._worker_config = {
@@ -603,15 +614,11 @@ class ClusterServer:
             "control": None,
         }
 
-        self._owns_store = False
-        if store is not None and not hasattr(store, "append"):
-            from ..store import HistogramStore
-            store = HistogramStore.open_or_create(store)
-            self._owns_store = True
-        self.store = store
+        self.store, self._owns_store = open_store(store)
         self.snapshots = SnapshotLedger(window_size=window_size,
                                         time_slot_ns=time_slot_ns,
-                                        max_epochs=max_epochs, store=store)
+                                        max_epochs=max_epochs,
+                                        store=self.store)
 
         #: Called with each sealed merged :class:`Epoch` (rotation and
         #: drain-on-close) — the fleet tier's uplink attach point,
@@ -622,21 +629,13 @@ class ClusterServer:
         #: epochs (workers run with the stage off — a per-worker view
         #: would double-count and misread partial streams).  Same
         #: ``online`` contract as :class:`LiveStatsServer`.
-        self.analyzer = None
+        self.analyzer = build_analyzer(online)
         self.analysis_errors_total = 0
-        if online:
-            from ..analysis.online import DriftConfig, OnlineAnalyzer
-            if hasattr(online, "observe_epoch"):
-                self.analyzer = online
-            elif isinstance(online, DriftConfig):
-                self.analyzer = OnlineAnalyzer(online)
-            else:
-                self.analyzer = OnlineAnalyzer()
-            if store is not None:
-                try:
-                    self.analyzer.seed_from_store(store)
-                except (OSError, ValueError):
-                    pass
+        if self.analyzer is not None and self.store is not None:
+            try:
+                self.analyzer.seed_from_store(self.store)
+            except (OSError, ValueError):
+                pass
 
         self.control_address: Optional[Tuple[str, int]] = None
         self.worker_deaths = 0
@@ -658,7 +657,6 @@ class ClusterServer:
         self._reader_threads: List[threading.Thread] = []
         self._route_lock = threading.Lock()
         self._control_lock = threading.Lock()
-        self._rotate_timer: Optional[threading.Timer] = None
         self._stopping = threading.Event()
         self._started = False
         self._closed = False
@@ -751,8 +749,8 @@ class ClusterServer:
             threading.Thread(target=self._fdpass_accept_loop,
                              name="live-cluster-accept",
                              daemon=True).start()
-        if self.rotate_every:
-            self._schedule_rotate()
+        if self._rotation is not None:
+            self._rotation.start()
         return self
 
     @property
@@ -802,32 +800,14 @@ class ClusterServer:
             return
         self._closed = True
         self._stopping.set()
-        while True:
-            timer = self._rotate_timer
-            if timer is None:
-                break
-            timer.cancel()
-            if timer is not threading.current_thread():
-                timer.join(timeout=10.0)
-            if self._rotate_timer is timer:
-                break
+        if self._rotation is not None:
+            self._rotation.stop()
         if self._public_listener is not None:
-            try:
-                socket.create_connection(self.address, timeout=1.0).close()
-            except OSError:
-                pass
-            try:
-                self._public_listener.close()
-            except OSError:  # pragma: no cover
-                pass
+            close_listener(self._public_listener, self.address)
         with self._control_lock:
-            with self._inbox_cond:
-                targets = [(i, self._worker_addrs[i])
-                           for i in sorted(self._alive)
-                           if i in self._worker_addrs]
-            for _index, addr in targets:
+            for _index, addr in self._alive_targets():
                 try:
-                    self._rpc(addr, {"op": "worker-stop"}, timeout=10.0)
+                    rpc(addr, {"op": "worker-stop"}, timeout=10.0)
                 except (OSError, ValueError, LiveError, ProtocolError):
                     pass  # already dead, or died while answering
             for proc in self._procs:
@@ -848,7 +828,8 @@ class ClusterServer:
                         while queue:
                             leftovers.append(queue.popleft())
                 if leftovers:
-                    self._fire_on_seal(self.snapshots.seal_round(leftovers))
+                    fire_on_seal(self, self.on_seal,
+                                 self.snapshots.seal_round(leftovers))
             for sock in self._fdpass_socks.values():
                 try:
                     sock.close()
@@ -862,34 +843,8 @@ class ClusterServer:
                 self._reserve = None
             self._stop_control_server()
             if self.store is not None and self._owns_store:
-                try:
-                    self.store.checkpoint()
-                except (OSError, ValueError) as exc:
-                    self.snapshots.ledger.note_store_failure(
-                        f"checkpoint on close: {exc}")
-                try:
-                    self.store.close()
-                except (OSError, ValueError) as exc:
-                    self.snapshots.ledger.note_store_failure(
-                        f"store close: {exc}")
-
-    def _schedule_rotate(self) -> None:
-        if self._stopping.is_set():
-            return
-        timer = threading.Timer(self.rotate_every, self._timed_rotate)
-        timer.daemon = True
-        self._rotate_timer = timer
-        timer.start()
-
-    def _timed_rotate(self) -> None:
-        if self._stopping.is_set():
-            return
-        try:
-            self.rotate()
-        except ValueError:
-            return
-        finally:
-            self._schedule_rotate()
+                close_store(self.store,
+                            self.snapshots.ledger.note_store_failure)
 
     # ------------------------------------------------------------------
     # Fan-in / worker liveness
@@ -954,31 +909,13 @@ class ClusterServer:
               "generation": generation}
         for index, host, port in table:
             try:
-                self._rpc((host, port), op, timeout=10.0)
+                rpc((host, port), op, timeout=10.0)
             except (OSError, ValueError, LiveError, ProtocolError):
                 pass  # its reader thread will notice the death
 
     # ------------------------------------------------------------------
     # Worker RPC
     # ------------------------------------------------------------------
-    @staticmethod
-    def _rpc(address: Tuple[str, int], op: Dict,
-             timeout: float = _RPC_TIMEOUT) -> Dict:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.sendall(pack_control(op))
-            rfile = sock.makefile("rb")
-            frame = read_frame(rfile)
-        if frame is None:
-            raise ValueError(f"worker at {address} closed mid-command")
-        ftype, payload = frame
-        if ftype == FRAME_ERROR:
-            document = json.loads(payload.decode("utf-8"))
-            raise LiveError(document.get("error", "worker error"))
-        if ftype != FRAME_OK:
-            raise ValueError(f"unexpected worker frame 0x{ftype:02x}")
-        return json.loads(payload.decode("utf-8"))
-
     def _alive_targets(self) -> List[Tuple[int, Tuple[str, int]]]:
         with self._inbox_cond:
             return [(i, self._worker_addrs[i])
@@ -989,7 +926,7 @@ class ClusterServer:
         results: Dict[int, Dict] = {}
         for index, addr in self._alive_targets():
             try:
-                results[index] = self._rpc(addr, op)
+                results[index] = rpc(addr, op)
             except (OSError, ValueError, LiveError, ProtocolError):
                 pass  # dead worker: liveness handled by its reader
         return results
@@ -1012,28 +949,13 @@ class ClusterServer:
             targets = self._alive_targets()
             for _index, addr in targets:
                 try:
-                    self._rpc(addr, {"op": "worker-rotate"})
+                    rpc(addr, {"op": "worker-rotate"})
                 except (OSError, ValueError, LiveError, ProtocolError):
                     pass  # died before sealing; handled below
             snapshots = self._collect(self._inbox, [i for i, _ in targets])
             epoch = self.snapshots.seal_round(snapshots)
-            self._fire_on_seal(epoch)
+            fire_on_seal(self, self.on_seal, epoch)
             return epoch
-
-    def _fire_on_seal(self, epoch: Epoch) -> None:
-        """Invoke the seal side effects; neither may break rotation
-        (mirrors :class:`LiveStatsServer`)."""
-        if self.analyzer is not None:
-            try:
-                self.analyzer.observe_epoch(epoch)
-            except (OSError, ValueError):
-                self.analysis_errors_total += 1
-        if self.on_seal is None:
-            return
-        try:
-            self.on_seal(epoch)
-        except (OSError, ValueError):
-            pass
 
     def _collect(self, inbox, indices,
                  scrape: Optional[int] = None) -> List[Tuple[Dict, bytes]]:
@@ -1101,40 +1023,17 @@ class ClusterServer:
                       epoch: Optional[int] = None,
                       aggregate: bool = False) -> Dict:
         """JSON-ready snapshot document, same shape as the
-        single-process server's."""
-        ledger = self.snapshots.ledger
-        if scope == "epoch":
-            if not len(ledger) and epoch is None:
-                raise ProtocolError("no sealed epochs yet")
-            if epoch is None:
-                target = ledger.last
-            else:
-                try:
-                    target = ledger.epoch(epoch)
-                except KeyError as exc:
-                    raise ProtocolError(str(exc)) from None
-            service = target.service
-            meta: Dict = {"scope": "epoch", "epoch": target.index,
-                          "records": target.records}
-        elif scope == "current":
-            with self._control_lock:
-                live = self._live_snapshots()
-            service = self._adopt_live(HistogramService(
-                window_size=self.window_size,
-                time_slot_ns=self.time_slot_ns), live)
-            meta = {"scope": "current", "epoch": len(ledger)}
-        elif scope == "all":
-            service = self.merged_service()
-            meta = {"scope": "all", "epochs": len(ledger)}
-        else:
-            raise ProtocolError(f"unknown snapshot scope {scope!r}")
-        meta["disks"] = {
-            f"{vm}/{vdisk}": collector.to_dict()
-            for (vm, vdisk), collector in service.collectors()
-        }
-        if aggregate:
-            meta["aggregate"] = service.aggregate().to_dict()
-        return meta
+        single-process server's (:func:`snapshot_document`)."""
+        return snapshot_document(self.snapshots.ledger, scope, epoch,
+                                 aggregate, self._current_service,
+                                 self.merged_service)
+
+    def _current_service(self) -> HistogramService:
+        with self._control_lock:
+            live = self._live_snapshots()
+        return self._adopt_live(HistogramService(
+            window_size=self.window_size,
+            time_slot_ns=self.time_slot_ns), live)
 
     def openmetrics(self) -> str:
         """Canonical exposition: the lifetime merge plus summed worker
@@ -1164,23 +1063,13 @@ class ClusterServer:
             "cluster_worker_deaths_total": self.worker_deaths,
             "cluster_route_generation": self._generation,
         }
-        verdicts = None
-        if self.analyzer is not None:
-            daemon["analysis_epochs_total"] = self.analyzer.epochs_seen
-            daemon["analysis_errors_total"] = self.analysis_errors_total
-            verdicts = self.analyzer.verdicts()
         return render_openmetrics(service.collectors(), daemon,
-                                  verdicts=verdicts)
+                                  verdicts=online_metrics(self, daemon))
 
     def verdicts_dict(self) -> Dict:
         """Rolling online-analysis state (the ``verdicts`` control
         op), over the merged cluster epochs."""
-        if self.analyzer is None:
-            return {"online": False}
-        document = self.analyzer.to_dict()
-        document["online"] = True
-        document["analysis_errors_total"] = self.analysis_errors_total
-        return document
+        return verdicts_doc(self)
 
     def route_info(self) -> Dict:
         with self._route_lock:
@@ -1222,28 +1111,14 @@ class ClusterServer:
             "epochs_sealed": len(ledger),
             "epoch_records": ledger.records,
             "degraded": ledger.degraded,
-            "online": (
-                None if self.analyzer is None else {
-                    "epochs_seen": self.analyzer.epochs_seen,
-                    "verdicts_total": self.analyzer.verdicts_total,
-                    "drift_events_total":
-                        self.analyzer.drift_events_total,
-                    "analysis_errors_total": self.analysis_errors_total,
-                }
-            ),
+            "online": online_info(self),
             "persist_errors": list(ledger.persist_errors),
             "worker_info": {str(i): doc for i, doc in workers.items()},
         }
         info["ledger"] = ledger.to_dict()
         info["ledger"].pop("retained", None)
         if self.store is not None:
-            entry = {"path": str(self.store.path),
-                     "owned": self._owns_store,
-                     "closed": self.store.closed}
-            if not self.store.closed:
-                entry["records"] = len(self.store)
-                entry["epochs"] = self.store.epochs
-            info["store"] = entry
+            info["store"] = store_info(self.store, self._owns_store)
         return info
 
     def export_json(self) -> str:
@@ -1278,15 +1153,7 @@ class ClusterServer:
     def _stop_control_server(self) -> None:
         if self._control_listener is None:
             return
-        try:
-            socket.create_connection(self.control_address,
-                                     timeout=1.0).close()
-        except OSError:
-            pass
-        try:
-            self._control_listener.close()
-        except OSError:  # pragma: no cover
-            pass
+        close_listener(self._control_listener, self.control_address)
         for thread in self._control_threads:
             thread.join(timeout=5.0)
 
@@ -1309,8 +1176,7 @@ class ClusterServer:
                 try:
                     frame = read_frame(rfile)
                 except ProtocolError as exc:
-                    wfile.write(pack_error(str(exc)))
-                    wfile.flush()
+                    write_frame(wfile, pack_error(str(exc)))
                     return
                 except (socket.timeout, TimeoutError):
                     return
@@ -1328,8 +1194,7 @@ class ClusterServer:
                     response = pack_error(str(exc))
                 except ValueError as exc:
                     response = pack_error(str(exc))
-                wfile.write(response)
-                wfile.flush()
+                write_frame(wfile, response)
         except (OSError, ValueError):
             return
         finally:

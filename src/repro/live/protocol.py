@@ -79,6 +79,7 @@ __all__ = [
     "pack_frame",
     "pack_ok",
     "pack_redirect",
+    "pack_session_head",
     "pack_text",
     "read_frame",
     "read_frame_view",
@@ -86,6 +87,7 @@ __all__ = [
     "sort_columns_for_stream",
     "unpack_control",
     "unpack_data_seq",
+    "unpack_session_head",
 ]
 
 PROTOCOL_VERSION = 1
@@ -198,6 +200,42 @@ def _pack_name(name: str) -> bytes:
     return _NAME_LEN.pack(len(raw)) + raw
 
 
+def pack_session_head(session: str, seq: int) -> bytes:
+    """The retry identity opening every sequenced frame (``DATA_SEQ``,
+    the fleet's ``SNAPSHOT``): ``u16 BE`` session-id length, session id
+    (UTF-8), ``u64 BE`` sequence number >= 1."""
+    if seq < 1:
+        raise ProtocolError(f"sequence number must be >= 1, got {seq}")
+    if not session:
+        raise ProtocolError("session id must be non-empty")
+    return _pack_name(session) + _SEQ.pack(seq)
+
+
+def unpack_session_head(view: memoryview,
+                        frame: str) -> Tuple[str, int, int]:
+    """Parse :func:`pack_session_head` at the start of ``view``:
+    ``(session, seq, offset past it)``; ``frame`` names the frame type
+    in errors."""
+    if len(view) < _NAME_LEN.size:
+        raise ProtocolError(f"{frame} truncated in its session header")
+    (slen,) = _NAME_LEN.unpack_from(view, 0)
+    offset = _NAME_LEN.size
+    if len(view) < offset + slen + _SEQ.size:
+        raise ProtocolError(f"{frame} truncated in its session header")
+    try:
+        session = bytes(view[offset:offset + slen]).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"undecodable session id: {exc}") from None
+    offset += slen
+    (seq,) = _SEQ.unpack_from(view, offset)
+    if not session or seq < 1:
+        raise ProtocolError(
+            f"{frame} needs a non-empty session id and a sequence "
+            f"number >= 1"
+        )
+    return session, seq, offset + _SEQ.size
+
+
 def pack_data_seq(session: str, seq: int, vm: str, vdisk: str,
                   body: bytes) -> bytes:
     """Build a ``DATA_SEQ`` frame: raw records for one disk behind a
@@ -208,10 +246,6 @@ def pack_data_seq(session: str, seq: int, vm: str, vdisk: str,
     resend of the same ``(session, seq)`` is byte-identical, which is
     what lets the server deduplicate it.
     """
-    if seq < 1:
-        raise ProtocolError(f"sequence number must be >= 1, got {seq}")
-    if not session:
-        raise ProtocolError("session id must be non-empty")
     if len(body) % RECORD_BYTES:
         raise ProtocolError(
             f"data body of {len(body)} bytes is not a whole number of "
@@ -219,7 +253,7 @@ def pack_data_seq(session: str, seq: int, vm: str, vdisk: str,
         )
     return pack_frame(
         FRAME_DATA_SEQ,
-        _pack_name(session) + _SEQ.pack(seq)
+        pack_session_head(session, seq)
         + _pack_name(vm) + _pack_name(vdisk) + body,
     )
 
@@ -235,24 +269,7 @@ def unpack_data_seq(payload) -> Tuple[str, int, str, str, memoryview]:
     and :func:`bytes_to_columns` accepts them.
     """
     view = memoryview(payload)
-    if len(view) < _NAME_LEN.size:
-        raise ProtocolError("data frame truncated in its session header")
-    (slen,) = _NAME_LEN.unpack_from(view, 0)
-    offset = _NAME_LEN.size
-    if len(view) < offset + slen + _SEQ.size:
-        raise ProtocolError("data frame truncated in its session header")
-    try:
-        session = bytes(view[offset:offset + slen]).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"undecodable session id: {exc}") from None
-    offset += slen
-    (seq,) = _SEQ.unpack_from(view, offset)
-    offset += _SEQ.size
-    if not session or seq < 1:
-        raise ProtocolError(
-            "data frame needs a non-empty session id and a sequence "
-            "number >= 1"
-        )
+    session, seq, offset = unpack_session_head(view, "data frame")
     names = []
     for _ in range(2):
         if len(view) < offset + _NAME_LEN.size:

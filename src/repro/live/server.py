@@ -53,7 +53,6 @@ import json
 import socket
 import threading
 import zlib
-from collections import OrderedDict
 from queue import Full, Queue
 from typing import Dict, List, Optional, Tuple
 
@@ -76,20 +75,17 @@ from .protocol import (
     unpack_control,
     unpack_data_seq,
 )
+from .session import SessionTable, write_frame
 from .stream import DiskStream
 
 __all__ = ["LiveStatsServer"]
 
 _SHUTDOWN = object()
 
-#: Retry-identity sessions remembered for ack deduplication.  Each
-#: entry is one publisher's last frame — tiny (the cached ack bytes) —
-#: so the cache is effectively "every publisher seen lately".
-_MAX_SESSIONS = 1024
-
-#: How long a retried frame waits for the original's in-flight ingest
-#: before giving up (matches the order of a worst-case blocked queue).
-_DUPLICATE_WAIT_SECONDS = 30.0
+#: The cached ack of a ``hello``-seeded watermark: a replay of an
+#: already-acknowledged frame is answered without ingesting (its
+#: records were counted when originally acked).
+_SEEDED_ACK = pack_ok({"accepted": 0, "deduplicated": True})
 
 #: Control ops with cluster-wide meaning.  A cluster worker does not
 #: answer these from its own partial view — it relays them to the
@@ -101,21 +97,230 @@ _CLUSTER_FORWARDED_OPS = frozenset(
 )
 
 
-class _SessionEntry:
-    """Per-session retry state: last seq seen and its cached ack.
+# ----------------------------------------------------------------------
+# Plumbing shared by the daemon, the cluster coordinator and the fleet
+# aggregator
+# ----------------------------------------------------------------------
+def open_store(store) -> Tuple[object, bool]:
+    """A ``store=`` argument as ``(store, owned)``: a directory path is
+    opened (or created) and owned — its server checkpoints and closes
+    it; an already-open store, or ``None``, stays the caller's."""
+    if store is None or hasattr(store, "append"):
+        return store, False
+    from ..store import HistogramStore
+    return HistogramStore.open_or_create(store), True
 
-    ``done`` is set once ``response`` holds the exact bytes the
-    original frame was (or would have been) answered with; a retry
-    that arrives while the original is still being ingested waits on
-    it instead of ingesting again.
+
+def close_store(store, note) -> None:
+    """Checkpoint and close an owned store.  A failure of either step
+    goes to ``note`` (the server degrades, as for a failed seal) and
+    the close still runs, so the flock is released; the WAL keeps
+    whatever the checkpoint could not seal into a segment."""
+    for step, what in ((store.checkpoint, "checkpoint on close"),
+                       (store.close, "store close")):
+        try:
+            step()
+        except (OSError, ValueError) as exc:
+            note(f"{what}: {exc}")
+
+
+def store_info(store, owned: bool) -> Dict:
+    """The ``store`` section of a server's ``info`` document."""
+    entry = {"path": str(store.path), "owned": owned,
+             "closed": store.closed}
+    if not store.closed:
+        entry["records"] = len(store)
+        entry["epochs"] = store.epochs
+    return entry
+
+
+def close_listener(listener: socket.socket, address) -> None:
+    """Close a listening socket and wake the thread blocked in its
+    ``accept()``, which closing it from another thread does not
+    reliably do.  ``shutdown()`` wakes it on Linux; elsewhere it raises
+    and a loopback connect does — but not on a port shared through
+    ``SO_REUSEPORT``, where the kernel may hand that connect to a
+    sibling's listener."""
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        socket.create_connection(address, timeout=1.0).close()
+    except OSError:
+        pass
+    try:
+        listener.close()
+    except OSError:  # pragma: no cover
+        pass
+
+
+def close_connections(conns) -> None:
+    """Shut down and close client connections, so a handler thread
+    blocked reading from an idle client wakes instead of sitting out
+    its join timeout."""
+    for conn in conns:
+        try:
+            conn.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover
+            pass
+
+
+def build_analyzer(online):
+    """The online stage an ``online=`` argument asks for: ``True`` the
+    default :class:`~repro.analysis.online.OnlineAnalyzer`, a
+    ``DriftConfig`` a tuned one, an analyzer itself (shared); falsy
+    ``None``."""
+    if not online:
+        return None
+    if hasattr(online, "observe_epoch"):
+        return online
+    from ..analysis.online import DriftConfig, OnlineAnalyzer
+    return OnlineAnalyzer(online if isinstance(online, DriftConfig)
+                          else None)
+
+
+def fire_on_seal(server, hook, epoch: Epoch) -> None:
+    """A sealed epoch's side effects; neither may kill rotation.
+
+    The server's online stage reads the epoch first (an injected
+    ``analysis.drift`` error degrades to ``analysis_errors_total``
+    instead of failing the rotate), then ``hook`` — a cluster worker's
+    fan-in pipe, an uplink.  A failing hook is swallowed: its far end
+    is being torn down, and the epoch stays sealed in the ledger
+    either way.
     """
+    if server.analyzer is not None:
+        try:
+            server.analyzer.observe_epoch(epoch)
+        except (OSError, ValueError):
+            server.analysis_errors_total += 1
+    if hook is not None:
+        try:
+            hook(epoch)
+        except (OSError, ValueError):
+            pass
 
-    __slots__ = ("seq", "response", "done")
 
-    def __init__(self, seq: int):
-        self.seq = seq
-        self.response: Optional[bytes] = None
-        self.done = threading.Event()
+def online_info(server) -> Optional[Dict]:
+    """The ``online`` section of a server's ``info`` document (``None``
+    without an analyzer)."""
+    if server.analyzer is None:
+        return None
+    return {"epochs_seen": server.analyzer.epochs_seen,
+            "verdicts_total": server.analyzer.verdicts_total,
+            "drift_events_total": server.analyzer.drift_events_total,
+            "analysis_errors_total": server.analysis_errors_total}
+
+
+def online_metrics(server, daemon: Dict):
+    """Add the online stage's counters to an exposition's ``daemon``
+    block; the verdicts to render (``None`` without an analyzer)."""
+    if server.analyzer is None:
+        return None
+    daemon["analysis_epochs_total"] = server.analyzer.epochs_seen
+    daemon["analysis_errors_total"] = server.analysis_errors_total
+    return server.analyzer.verdicts()
+
+
+def verdicts_doc(server) -> Dict:
+    """The ``verdicts`` control op: the online stage's rolling state, or
+    ``{"online": false}`` without an analyzer."""
+    if server.analyzer is None:
+        return {"online": False}
+    document = server.analyzer.to_dict()
+    document["online"] = True
+    document["analysis_errors_total"] = server.analysis_errors_total
+    return document
+
+
+def snapshot_document(ledger: EpochLedger, scope: str,
+                      epoch: Optional[int], aggregate: bool,
+                      current, merged) -> Dict:
+    """The ``snapshot`` control op's document over an epoch ledger.
+
+    ``scope="current"`` — the live (unsealed) epoch only, the service
+    ``current()`` returns; ``scope="epoch"`` — one sealed epoch (by
+    index, default last); ``scope="all"`` — exact merge of every epoch
+    plus the live one, ``merged()``.  ``aggregate=True`` adds a
+    host-wide merge across disks.
+    """
+    if scope == "epoch":
+        if not len(ledger) and epoch is None:
+            raise ProtocolError("no sealed epochs yet")
+        if epoch is None:
+            target = ledger.last
+        else:
+            try:
+                target = ledger.epoch(epoch)
+            except KeyError as exc:
+                raise ProtocolError(str(exc)) from None
+        service = target.service
+        meta: Dict = {"scope": "epoch", "epoch": target.index,
+                      "records": target.records}
+    elif scope == "current":
+        service = current()
+        meta = {"scope": "current", "epoch": len(ledger)}
+    elif scope == "all":
+        service = merged()
+        meta = {"scope": "all", "epochs": len(ledger)}
+    else:
+        raise ProtocolError(f"unknown snapshot scope {scope!r}")
+    meta["disks"] = {f"{vm}/{vdisk}": collector.to_dict()
+                     for (vm, vdisk), collector in service.collectors()}
+    if aggregate:
+        meta["aggregate"] = service.aggregate().to_dict()
+    return meta
+
+
+class RotationTimer:
+    """The ``rotate_every`` chain: ``rotate()`` every ``period``
+    seconds until :meth:`stop`.  A rotation that raises ``ValueError``
+    (its server closed concurrently) is skipped."""
+
+    def __init__(self, period: float, rotate):
+        self.period = period
+        self.timer: Optional[threading.Timer] = None
+        self._rotate = rotate
+        self._stopped = threading.Event()
+
+    def start(self) -> None:
+        if self._stopped.is_set():
+            return
+        timer = threading.Timer(self.period, self._fire)
+        timer.daemon = True
+        self.timer = timer
+        timer.start()
+
+    def _fire(self) -> None:
+        if self._stopped.is_set():
+            return
+        try:
+            self._rotate()
+        except ValueError:
+            return
+        finally:
+            self.start()
+
+    def stop(self) -> None:
+        """End the chain.  ``Timer.cancel()`` does not stop a callback
+        that already fired, so wait the in-flight rotation out (it may
+        have re-armed once meanwhile — loop until the chain is dead;
+        :meth:`start` never arms after a stop)."""
+        self._stopped.set()
+        while True:
+            timer = self.timer
+            if timer is None:
+                break
+            timer.cancel()
+            if timer is not threading.current_thread():
+                timer.join(timeout=10.0)
+            if self.timer is timer:
+                break
 
 
 class _DataItem:
@@ -298,39 +503,26 @@ class LiveStatsServer:
         self.idle_timeout = idle_timeout
         self.window_size = window_size
         self.time_slot_ns = time_slot_ns
-        self.rotate_every = rotate_every
+        self._rotation = (RotationTimer(rotate_every, self.rotate)
+                          if rotate_every else None)
 
-        self._owns_store = False
-        if store is not None and not hasattr(store, "append"):
-            from ..store import HistogramStore
-            store = HistogramStore.open_or_create(store)
-            self._owns_store = True
-        self.store = store
-
+        self.store, self._owns_store = open_store(store)
         self.ledger = EpochLedger(window_size=window_size,
                                   time_slot_ns=time_slot_ns,
                                   max_epochs=max_epochs,
-                                  store=store)
+                                  store=self.store)
 
         #: Streaming fingerprint/drift stage fed by every seal.
-        self.analyzer = None
+        self.analyzer = build_analyzer(online)
         self.analysis_errors_total = 0
-        if online:
-            from ..analysis.online import DriftConfig, OnlineAnalyzer
-            if hasattr(online, "observe_epoch"):
-                self.analyzer = online
-            elif isinstance(online, DriftConfig):
-                self.analyzer = OnlineAnalyzer(online)
-            else:
-                self.analyzer = OnlineAnalyzer()
-            if store is not None:
-                # Baselines start from the recorded history; a fresh
-                # store seeds nothing.  Failures leave the analyzer
-                # unseeded rather than blocking startup.
-                try:
-                    self.analyzer.seed_from_store(store)
-                except (OSError, ValueError):
-                    pass
+        if self.analyzer is not None and self.store is not None:
+            # Baselines start from the recorded history; a fresh store
+            # seeds nothing.  Failures leave the analyzer unseeded
+            # rather than blocking startup.
+            try:
+                self.analyzer.seed_from_store(self.store)
+            except (OSError, ValueError):
+                pass
         # The enable/disable registry is a HistogramService used purely
         # for its gating semantics (global flag + per-disk overrides),
         # so the daemon's surface matches the in-hypervisor tool's.
@@ -344,7 +536,6 @@ class LiveStatsServer:
         self._listener: Optional[socket.socket] = None
         self._direct_listener: Optional[socket.socket] = None
         self._accept_threads: List[threading.Thread] = []
-        self._rotate_timer: Optional[threading.Timer] = None
         self._stopping = threading.Event()
         self._started = False
         self._closed = False
@@ -352,8 +543,7 @@ class LiveStatsServer:
         # Reentrant: merged_service holds it across live_pairs.
         self._control_lock = threading.RLock()
         self._stats_lock = threading.Lock()
-        self._session_lock = threading.Lock()
-        self._sessions: "OrderedDict[str, _SessionEntry]" = OrderedDict()
+        self._sessions = SessionTable("hello")
         self._conns: set = set()
         self.duplicate_frames_total = 0  # retries answered from cache
         self.redirected_frames_total = 0  # non-owned disks bounced
@@ -400,8 +590,8 @@ class LiveStatsServer:
             )
             thread.start()
             self._accept_threads.append(thread)
-        if self.rotate_every:
-            self._schedule_rotate()
+        if self._rotation is not None:
+            self._rotation.start()
         return self
 
     @property
@@ -427,52 +617,16 @@ class LiveStatsServer:
             return
         self._closed = True
         self._stopping.set()
-        # Timer.cancel() does not stop a callback that already fired
-        # past the _stopping check, so wait the in-flight rotation out
-        # (it may have re-armed once meanwhile — loop until the chain
-        # is dead; _schedule_rotate never arms after _stopping is set).
-        while True:
-            timer = self._rotate_timer
-            if timer is None:
-                break
-            timer.cancel()
-            if timer is not threading.current_thread():
-                timer.join(timeout=10.0)
-            if self._rotate_timer is timer:
-                break
+        if self._rotation is not None:
+            self._rotation.stop()
         for listener, address in ((self._listener, self.address),
                                   (self._direct_listener,
                                    self.direct_address)):
-            if listener is None:
-                continue
-            # A blocked accept() is not reliably woken by closing the
-            # listener from another thread.  shutdown() wakes it on
-            # Linux; elsewhere it raises and a loopback connect does —
-            # but not on a port shared through SO_REUSEPORT, where the
-            # kernel may hand that connect to a sibling's listener.
-            try:
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                socket.create_connection(address, timeout=1.0).close()
-            except OSError:
-                pass
-            try:
-                listener.close()
-            except OSError:  # pragma: no cover
-                pass
+            if listener is not None:
+                close_listener(listener, address)
         with self._stats_lock:
             conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        close_connections(conns)
         for worker in self._workers:
             if worker.is_alive():
                 worker.queue.put(_SHUTDOWN)
@@ -487,42 +641,9 @@ class LiveStatsServer:
             # Flush the partial epoch so acked commands stay queryable.
             pairs = self._seal_all_streams()
             if pairs:
-                epoch = self.ledger.seal(pairs)
-                self._fire_on_seal(epoch)
+                fire_on_seal(self, self._on_seal, self.ledger.seal(pairs))
             if self.store is not None and self._owns_store:
-                # A store that fails at the very end must not lose the
-                # in-memory state or leave the flock held: record the
-                # failure (degraded, like a failed seal) and still
-                # close.  The WAL keeps anything the checkpoint could
-                # not seal into a segment.
-                try:
-                    self.store.checkpoint()
-                except (OSError, ValueError) as exc:
-                    self.ledger.note_store_failure(
-                        f"checkpoint on close: {exc}")
-                try:
-                    self.store.close()
-                except (OSError, ValueError) as exc:
-                    self.ledger.note_store_failure(
-                        f"store close: {exc}")
-
-    def _schedule_rotate(self) -> None:
-        if self._stopping.is_set():
-            return
-        timer = threading.Timer(self.rotate_every, self._timed_rotate)
-        timer.daemon = True
-        self._rotate_timer = timer
-        timer.start()
-
-    def _timed_rotate(self) -> None:
-        if self._stopping.is_set():
-            return
-        try:
-            self.rotate()
-        except ValueError:
-            return  # server closed concurrently; the timer chain ends
-        finally:
-            self._schedule_rotate()
+                close_store(self.store, self.ledger.note_store_failure)
 
     # ------------------------------------------------------------------
     # Accept / connection handling
@@ -614,16 +735,11 @@ class LiveStatsServer:
 
     @staticmethod
     def _send(wfile, data: bytes) -> bool:
+        """Write one response; ``False`` when the connection is done
+        for (an injected short write truncates the response, exactly
+        as if the connection died mid-ack)."""
         try:
-            action = fire("live.server.send")
-            if action is not None and action.kind == "partial":
-                # Injected short write: the client sees a truncated
-                # response, exactly as if the connection died mid-ack.
-                wfile.write(data[:max(1, int(len(data) * action.fraction))])
-                wfile.flush()
-                return False
-            wfile.write(data)
-            wfile.flush()
+            write_frame(wfile, data, fire("live.server.send"))
             return True
         except (OSError, ValueError):
             return False
@@ -659,14 +775,9 @@ class LiveStatsServer:
 
     def _handle_data_seq(self, payload: bytes) -> bytes:
         """A sequenced data frame: ingest once, answer retries from
-        cache.
+        cache (the session table's admission rule).
 
-        The dedup decision happens *before* ingestion: the ``(session,
-        seq)`` slot is reserved under the session lock, so a retry that
-        races the original (the client timed out while the original is
-        still blocked on a full shard queue) waits for the original's
-        ack instead of ingesting the same records twice.  Cached
-        responses include ``ERROR`` answers — a retry of a
+        Cached responses include ``ERROR`` answers — a retry of a
         semantically rejected frame is rejected identically, keeping
         the client's view consistent.
         """
@@ -674,64 +785,18 @@ class LiveStatsServer:
         redirect = self._redirect_for(vm, vdisk)
         if redirect is not None:
             return redirect
-        with self._session_lock:
-            entry = self._sessions.get(session)
-            if entry is not None and seq == entry.seq:
-                fresh = None  # duplicate of the last (maybe in-flight) frame
-            elif entry is not None and seq < entry.seq:
-                raise ProtocolError(
-                    f"stale data frame seq {seq} for session "
-                    f"{session!r} (last seen {entry.seq})"
-                )
-            elif entry is not None and seq > entry.seq + 1:
-                raise ProtocolError(
-                    f"data frame seq gap for session {session!r}: got "
-                    f"{seq}, expected {entry.seq + 1}"
-                )
-            elif entry is not None and entry.response is None:
-                # seq == entry.seq + 1 while entry is still in flight:
-                # a sequential client never advances past an unacked
-                # frame, so this is protocol misuse.
-                raise ProtocolError(
-                    f"data frame seq {seq} for session {session!r} "
-                    f"while seq {entry.seq} is still in flight"
-                )
-            else:
-                fresh = _SessionEntry(seq)
-                self._sessions[session] = fresh
-                self._sessions.move_to_end(session)
-                while len(self._sessions) > _MAX_SESSIONS:
-                    oldest = next(iter(self._sessions))
-                    if self._sessions[oldest].response is None:
-                        break  # never evict an in-flight entry
-                    del self._sessions[oldest]
-        if fresh is None:
-            if not entry.done.wait(timeout=_DUPLICATE_WAIT_SECONDS):
-                raise ProtocolError(
-                    f"retried frame seq {seq} for session {session!r} "
-                    f"is still being ingested"
-                )
+
+        def ingest() -> bytes:
+            try:
+                return self._ingest(vm, vdisk, body)
+            except ProtocolError as exc:
+                self._count_rejected()
+                return pack_error(str(exc))
+
+        response, fresh = self._sessions.serve(session, seq, ingest)
+        if not fresh:
             with self._stats_lock:
                 self.duplicate_frames_total += 1
-            return entry.response
-        try:
-            response = self._ingest(vm, vdisk, body)
-        except ProtocolError as exc:
-            self._count_rejected()
-            response = pack_error(str(exc))
-        except BaseException:
-            # Ingestion died before producing an ack (only reachable
-            # outside the ProtocolError path, e.g. interpreter
-            # shutdown).  Nothing was acknowledged, so forget the slot
-            # — a retry re-ingests from scratch — and wake any waiter.
-            with self._session_lock:
-                if self._sessions.get(session) is fresh:
-                    del self._sessions[session]
-            fresh.response = pack_error("ingest aborted")
-            fresh.done.set()
-            raise
-        fresh.response = response
-        fresh.done.set()
         return response
 
     def _ingest(self, vm: str, vdisk: str, body: bytes) -> bytes:
@@ -787,7 +852,7 @@ class LiveStatsServer:
         if name == "ping":
             return pack_ok({"pong": True, "version": 1})
         if name == "hello":
-            return pack_ok(self._handle_hello(op))
+            return pack_ok(self._sessions.hello(op, lambda _seq: _SEEDED_ACK))
         if name == "route":
             if self.router is not None:
                 return pack_ok(self.router.route_info())
@@ -817,55 +882,6 @@ class LiveStatsServer:
         if name == "verdicts":
             return pack_ok(self.verdicts_dict())
         raise ProtocolError(f"unknown control op {name!r}")
-
-    def _handle_hello(self, op: Dict) -> Dict:
-        """Seed (or confirm) a session's retry watermark.
-
-        ``{"op": "hello", "session": s, "seq": n}`` declares "frames
-        of session ``s`` up to ``n`` are already acknowledged".  A
-        reconnecting client sends it before replaying unacked
-        ``DATA_SEQ`` frames so that a *brand-new* server process — a
-        cluster worker that just inherited the session after a crash,
-        or a restarted daemon — learns the watermark instead of
-        re-ingesting a replayed frame it never saw acked (the ack-
-        cache race this op exists to close).  On a server that
-        already knows the session, the richer state wins: an
-        established entry at ``seq >= n`` is left untouched.
-        """
-        session = op.get("session")
-        seq = op.get("seq", 0)
-        if not isinstance(session, str) or not session:
-            raise ProtocolError("hello needs a non-empty session id")
-        if not isinstance(seq, int) or seq < 0:
-            raise ProtocolError("hello seq must be an integer >= 0")
-        with self._session_lock:
-            entry = self._sessions.get(session)
-            if entry is None or (entry.response is not None
-                                 and entry.seq < seq):
-                if seq > 0:
-                    seeded = _SessionEntry(seq)
-                    # The cached ack for the seeded watermark: a
-                    # replay of an already-acknowledged frame is
-                    # answered without ingesting (accepted: 0 — the
-                    # records were counted when originally acked).
-                    seeded.response = pack_ok(
-                        {"accepted": 0, "deduplicated": True}
-                    )
-                    seeded.done.set()
-                    self._sessions[session] = seeded
-                    self._sessions.move_to_end(session)
-                    while len(self._sessions) > _MAX_SESSIONS:
-                        oldest = next(iter(self._sessions))
-                        if self._sessions[oldest].response is None:
-                            break  # never evict an in-flight entry
-                        del self._sessions[oldest]
-                elif entry is not None:
-                    # seq == 0 from a client that knows nothing acked:
-                    # nothing to seed, and an existing completed entry
-                    # still wins below.
-                    return {"session": session, "seq": entry.seq}
-                return {"session": session, "seq": seq}
-            return {"session": session, "seq": entry.seq}
 
     # ------------------------------------------------------------------
     # Atomic swap machinery
@@ -915,31 +931,8 @@ class LiveStatsServer:
                 epoch = self.ledger.seal(pairs)
             finally:
                 self._resume_workers(barriers)
-            self._fire_on_seal(epoch)
+            fire_on_seal(self, self._on_seal, epoch)
             return epoch
-
-    def _fire_on_seal(self, epoch: Epoch) -> None:
-        """Invoke the seal side effects; neither may kill rotation.
-
-        The online analysis stage reads the epoch first (an injected
-        ``analysis.drift`` error degrades to a counter instead of
-        failing the rotate).  The cluster hook writes to a pipe whose
-        reader is the coordinator — if that end is gone the worker is
-        being torn down anyway, so the failure is swallowed rather
-        than raised into ``rotate()``; the epoch stays sealed in the
-        local ledger either way.
-        """
-        if self.analyzer is not None:
-            try:
-                self.analyzer.observe_epoch(epoch)
-            except (OSError, ValueError):
-                self.analysis_errors_total += 1
-        if self._on_seal is None:
-            return
-        try:
-            self._on_seal(epoch)
-        except (OSError, ValueError):
-            pass
 
     # ------------------------------------------------------------------
     # Queries (also usable in-process, e.g. after close())
@@ -961,45 +954,16 @@ class LiveStatsServer:
     def snapshot_dict(self, scope: str = "all",
                       epoch: Optional[int] = None,
                       aggregate: bool = False) -> Dict:
-        """JSON-ready snapshot document.
+        """JSON-ready snapshot document (:func:`snapshot_document`)."""
+        return snapshot_document(self.ledger, scope, epoch, aggregate,
+                                 self._current_service, self.merged_service)
 
-        ``scope="current"`` — the live (unsealed) epoch only;
-        ``scope="epoch"`` — one sealed epoch (by index, default last);
-        ``scope="all"`` — exact merge of every epoch plus the live one.
-        ``aggregate=True`` adds a host-wide merge across disks.
-        """
-        if scope == "epoch":
-            if not len(self.ledger) and epoch is None:
-                raise ProtocolError("no sealed epochs yet")
-            if epoch is None:
-                target = self.ledger.last
-            else:
-                try:
-                    target = self.ledger.epoch(epoch)
-                except KeyError as exc:
-                    raise ProtocolError(str(exc)) from None
-            service = target.service
-            meta: Dict = {"scope": "epoch", "epoch": target.index,
-                          "records": target.records}
-        elif scope == "current":
-            service = HistogramService(window_size=self.window_size,
-                                       time_slot_ns=self.time_slot_ns)
-            for key, collector in self.live_pairs():
-                service.adopt(key, collector)
-            meta = {"scope": "current", "epoch": len(self.ledger)}
-        elif scope == "all":
-            service = self.merged_service()
-            meta = {"scope": "all", "epochs": len(self.ledger)}
-        else:
-            raise ProtocolError(f"unknown snapshot scope {scope!r}")
-        disks = {
-            f"{vm}/{vdisk}": collector.to_dict()
-            for (vm, vdisk), collector in service.collectors()
-        }
-        meta["disks"] = disks
-        if aggregate:
-            meta["aggregate"] = service.aggregate().to_dict()
-        return meta
+    def _current_service(self) -> HistogramService:
+        service = HistogramService(window_size=self.window_size,
+                                   time_slot_ns=self.time_slot_ns)
+        for key, collector in self.live_pairs():
+            service.adopt(key, collector)
+        return service
 
     def merged_service(self) -> HistogramService:
         """Lifetime merge: every sealed epoch plus the live one.
@@ -1019,12 +983,7 @@ class LiveStatsServer:
 
     def verdicts_dict(self) -> Dict:
         """Rolling online-analysis state (the ``verdicts`` control op)."""
-        if self.analyzer is None:
-            return {"online": False}
-        document = self.analyzer.to_dict()
-        document["online"] = True
-        document["analysis_errors_total"] = self.analysis_errors_total
-        return document
+        return verdicts_doc(self)
 
     def openmetrics(self) -> str:
         """OpenMetrics text over the lifetime merge + daemon counters."""
@@ -1044,13 +1003,8 @@ class LiveStatsServer:
                 "connections_open": len(self._conns),
                 "connections_total": self.connections_total,
             }
-        verdicts = None
-        if self.analyzer is not None:
-            daemon["analysis_epochs_total"] = self.analyzer.epochs_seen
-            daemon["analysis_errors_total"] = self.analysis_errors_total
-            verdicts = self.analyzer.verdicts()
         return render_openmetrics(service.collectors(), daemon,
-                                  verdicts=verdicts)
+                                  verdicts=online_metrics(self, daemon))
 
     def info(self) -> Dict:
         """Operational counters and configuration."""
@@ -1079,24 +1033,13 @@ class LiveStatsServer:
                 "persist_errors": list(self.ledger.persist_errors),
             }
         if self.analyzer is not None:
-            info["online"] = {
-                "epochs_seen": self.analyzer.epochs_seen,
-                "verdicts_total": self.analyzer.verdicts_total,
-                "drift_events_total": self.analyzer.drift_events_total,
-                "analysis_errors_total": self.analysis_errors_total,
-            }
+            info["online"] = online_info(self)
         info["ledger"] = self.ledger.to_dict()
         # Full per-epoch snapshots aren't operational data; keep the
         # info document to metadata.
         info["ledger"].pop("retained", None)
         if self.store is not None:
-            entry = {"path": str(self.store.path),
-                     "owned": self._owns_store,
-                     "closed": self.store.closed}
-            if not self.store.closed:
-                entry["records"] = len(self.store)
-                entry["epochs"] = self.store.epochs
-            info["store"] = entry
+            info["store"] = store_info(self.store, self._owns_store)
         return info
 
     def export_json(self) -> str:

@@ -675,7 +675,7 @@ class TestRootRecordPath:
             assert root.rejected_frames_total == 1
             assert root.ledger.epochs_applied_total == 0
             assert not root.ledger.seen("esx-a", 0)
-            assert "link" not in root._sessions
+            assert "link" not in root._sessions.describe()
             assert len(root.store) == 0
             assert root.analyzer.epochs_seen == 0
             # The corrected resend of the same sequence number applies.
@@ -794,5 +794,5 @@ class TestClientJitterSatellite:
     def test_uplinks_jitter_decorrelated_by_node(self):
         up_a = FleetUplink([("127.0.0.1", 1)], node="node-a")
         up_b = FleetUplink([("127.0.0.1", 1)], node="node-b")
-        assert [up_a._rng.random() for _ in range(4)] \
-            != [up_b._rng.random() for _ in range(4)]
+        assert [up_a._backoff.rng.random() for _ in range(4)] \
+            != [up_b._backoff.rng.random() for _ in range(4)]

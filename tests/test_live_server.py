@@ -389,6 +389,64 @@ class TestRobustness:
         assert len(srv.ledger) == 1
 
 
+class TestEvictedSession:
+    """The shared session table's bound, forced down to one session."""
+
+    @pytest.fixture(autouse=True)
+    def one_session(self, monkeypatch):
+        from repro.live import session
+
+        monkeypatch.setattr(session, "MAX_SESSIONS", 1)
+
+    def test_replay_after_eviction_is_refused_until_hello(self, server,
+                                                          client):
+        """B's first frame evicts A.  A replay of A's acked one-record
+        seq 2 used to be ingested again; it is refused with the hello
+        hint, and after ``hello(A, 2)`` it is answered as a duplicate
+        and A's stream continues at seq 3."""
+        records = _records(40)
+
+        def frame(session, seq, vm, lo, hi):
+            return pack_data_seq(session, seq, vm, "d0",
+                                 records_to_bytes(records[lo:hi]))
+
+        replay = frame("A", 2, "vm0", 10, 11)
+        client._roundtrip(frame("A", 1, "vm0", 0, 10))
+        client._roundtrip(replay)
+        client._roundtrip(frame("B", 1, "vm1", 0, 10))
+        before = client.info()["records_total"]
+        with pytest.raises(LiveError, match="send hello after a reconnect"):
+            client._roundtrip(replay)
+        assert client.info()["records_total"] == before
+        assert client._control("hello", session="A", seq=2)["seq"] == 2
+        assert client._roundtrip(replay) == {"accepted": 0,
+                                             "deduplicated": True}
+        assert client._roundtrip(frame("A", 3, "vm0", 11, 40)) \
+            == {"accepted": 29}
+        assert client.info()["records_total"] == before + 29
+
+    def test_evicted_publisher_recovers_with_hello(self, server, client):
+        """The documented recovery: ``hello()``, then publish again
+        from ``LiveError.partial``."""
+        records = _records(300)
+        client.publish_columns("vm0", "d0", records_to_columns(records[:100]),
+                               frame_records=50)
+        with LiveStatsClient(*server.address) as other:
+            other.publish_columns("vm1", "d0", records_to_columns(records))
+        rest = records[100:]
+        with pytest.raises(LiveError) as refused:
+            client.publish_columns("vm0", "d0", records_to_columns(rest),
+                                   frame_records=50)
+        assert refused.value.partial["frames"] == 0
+        client.hello()
+        result = client.publish_columns("vm0", "d0", records_to_columns(rest),
+                                        frame_records=50)
+        assert result["accepted"] == len(rest)
+        snap = client.snapshot(scope="all")
+        offline = replay_columns(records_to_columns(records))
+        assert snap["disks"]["vm0/d0"] == offline.to_dict()
+
+
 class TestEnableDisable:
     def test_global_disable_ignores_traffic(self, server, client):
         client.disable()

@@ -695,7 +695,7 @@ class TestServerIntegration:
         finally:
             server.close()
         # The timer chain is dead and joined.
-        timer = server._rotate_timer
+        timer = server._rotation.timer
         assert timer is None or not timer.is_alive()
         assert server.ledger.records == 200
         with HistogramStore.open(store_path) as store:
