@@ -67,8 +67,11 @@ ENV_VAR = "REPRO_FAULT_PLAN"
 SITES = {
     "live.client.send": "LiveStatsClient._roundtrip, before each frame write",
     "live.client.recv": "LiveStatsClient._roundtrip, before each response read",
-    "live.server.recv": "LiveStatsServer connection loop, before each frame read",
-    "live.server.send": "LiveStatsServer._send, before each response write",
+    # Both fire in every frame server's connection loop (FrameServer):
+    # the daemon, the fleet aggregator and the cluster coordinator's
+    # control endpoint.
+    "live.server.recv": "every frame server's connection loop, before each frame read",
+    "live.server.send": "every frame server's connection loop, before each response write",
     # The WAL sites are batch-aware: under group commit, append fires
     # once per *logical* append even though frames buffer and reach the
     # file as one write, so an N-append schedule covers the same slots
@@ -80,12 +83,12 @@ SITES = {
     "store.wal.sync": "WriteAheadLog.sync, before drain+flush+fsync",
     "store.segment.write": "write_segment, before staging the temp file",
     # Fires inside cluster worker processes: once right after the
-    # startup HELLO and once per coordinator-driven worker-rotate, with
+    # startup worker-hello and once per coordinator-driven worker-rotate, with
     # ``worker_index`` in the context for per-worker ``when`` routing
     # and ``point`` = "start" | "rotate".  A crash here exercises the
     # coordinator's dead-worker path: the fan-in pipe EOFs, the hash
     # ring is rebuilt over the survivors and publishers are redirected.
-    "live.cluster.worker": "cluster _worker_main, after HELLO and per rotate",
+    "live.cluster.worker": "cluster _worker_main, after worker-hello and per rotate",
     # Fires in the fleet uplink's sender thread, once per snapshot send
     # attempt (retries fire again), with ``node``, ``host``, ``epoch``
     # and ``point`` = "send" in the context for ``when`` routing.  A

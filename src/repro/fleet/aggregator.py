@@ -27,7 +27,6 @@ OpenMetrics ``metrics`` exposition.
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 import uuid
@@ -36,17 +35,16 @@ from typing import Dict, List, Optional, Tuple
 from ..live.exposition import render_openmetrics
 from ..live.protocol import (
     FRAME_CONTROL,
+    FRAME_SNAPSHOT,
     ProtocolError,
-    pack_error,
     pack_ok,
     pack_text,
-    read_frame_view,
+    snapshot_extents,
     unpack_control,
+    unpack_snapshot,
 )
 from ..live.server import (
     build_analyzer,
-    close_connections,
-    close_listener,
     close_store,
     online_info,
     online_metrics,
@@ -54,9 +52,8 @@ from ..live.server import (
     store_info,
     verdicts_doc,
 )
-from ..live.session import SessionTable, write_frame
+from ..live.session import FrameServer, SessionTable
 from ..store.codec import collector_from_bytes
-from .protocol import FRAME_SNAPSHOT, snapshot_extents, unpack_snapshot
 from .queries import percentile_doc, topk
 from .state import FleetLedger
 from .uplink import FleetUplink
@@ -86,7 +83,6 @@ class FleetAggregator:
         self.host = host
         self.port = port
         self.node = node or f"agg-{uuid.uuid4().hex[:8]}"
-        self.idle_timeout = idle_timeout
         self.ledger = FleetLedger()
 
         self.store, self._owns_store = open_store(store)
@@ -105,15 +101,10 @@ class FleetAggregator:
         self._lock = threading.Lock()
         self._sessions = SessionTable("fleet-hello")
         self.duplicate_frames_total = 0
-        self.rejected_frames_total = 0
-        self.connections_total = 0
-
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
-        self._conns: set = set()
-        self._conns_lock = threading.Lock()
-        self._stopping = threading.Event()
+        self.frame_server = FrameServer(
+            {FRAME_SNAPSHOT: self._handle_snapshot,
+             FRAME_CONTROL: self._handle_control},
+            idle_timeout, f"fleet-{self.node}")
         self._started = False
         self._closed = False
         self._started_unix: Optional[float] = None
@@ -126,16 +117,7 @@ class FleetAggregator:
             raise RuntimeError("aggregator already started")
         self._started = True
         self._started_unix = time.time()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(128)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"fleet-accept-{self.node}",
-            daemon=True)
-        self._accept_thread.start()
+        self.port = self.frame_server.listen(self.host, self.port)[1]
         if self.uplink is not None:
             self.uplink.start()
         return self
@@ -143,6 +125,10 @@ class FleetAggregator:
     @property
     def address(self) -> Tuple[str, int]:
         return (self.host, self.port)
+
+    @property
+    def rejected_frames_total(self) -> int:
+        return self.frame_server.rejected_frames_total
 
     def __enter__(self) -> "FleetAggregator":
         return self.start()
@@ -154,89 +140,13 @@ class FleetAggregator:
         if self._closed:
             return
         self._closed = True
-        self._stopping.set()
-        if self._listener is not None:
-            close_listener(self._listener, self.address)
-        with self._conns_lock:
-            conns = list(self._conns)
-        close_connections(conns)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        for thread in list(self._conn_threads):
-            thread.join(timeout=5.0)
+        self.frame_server.close()
         if self.uplink is not None:
             self.uplink.drain(timeout=10.0)
             self.uplink.close()
         if self.store is not None and self._owns_store:
             close_store(self.store, lambda message:
                         self._note_persist_failure(None, message))
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return
-            self.connections_total += 1
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,),
-                name=f"fleet-conn-{self.node}", daemon=True)
-            thread.start()
-            self._conn_threads.append(thread)
-            # Forget finished handler threads so a long-lived node does
-            # not accumulate thread objects.
-            if len(self._conn_threads) > 64:
-                self._conn_threads = [t for t in self._conn_threads
-                                      if t.is_alive()]
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with self._conns_lock:
-            self._conns.add(conn)
-        try:
-            if self.idle_timeout is not None:
-                conn.settimeout(self.idle_timeout)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            rfile = conn.makefile("rb")
-            wfile = conn.makefile("wb")
-            head = bytearray(4)
-            while not self._stopping.is_set():
-                try:
-                    frame = read_frame_view(rfile, head)
-                except ProtocolError as exc:
-                    self.rejected_frames_total += 1
-                    write_frame(wfile, pack_error(str(exc)))
-                    return
-                except (socket.timeout, TimeoutError):
-                    return
-                if frame is None:
-                    return
-                ftype, payload = frame
-                try:
-                    if ftype == FRAME_SNAPSHOT:
-                        response = self._handle_snapshot(payload)
-                    elif ftype == FRAME_CONTROL:
-                        response = self._handle_control(
-                            unpack_control(payload))
-                    else:
-                        raise ProtocolError(
-                            f"aggregators accept SNAPSHOT and CONTROL "
-                            f"frames only, got 0x{ftype:02x}")
-                except (ProtocolError, ValueError) as exc:
-                    self.rejected_frames_total += 1
-                    response = pack_error(str(exc))
-                write_frame(wfile, response)
-        except (OSError, ValueError):
-            return
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
 
     # ------------------------------------------------------------------
     # Snapshot ingestion
@@ -334,7 +244,8 @@ class FleetAggregator:
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
-    def _handle_control(self, op: Dict) -> bytes:
+    def _handle_control(self, payload) -> bytes:
+        op = unpack_control(payload)
         name = op["op"]
         if name == "ping":
             return pack_ok({"pong": True, "fleet": True, "node": self.node,
@@ -460,7 +371,7 @@ class FleetAggregator:
                 "duplicate_frames_total": self.duplicate_frames_total,
                 "rejected_frames_total": self.rejected_frames_total,
                 "records_total": self.ledger.records_total,
-                "connections_total": self.connections_total,
+                "connections_total": self.frame_server.connections_total,
                 "staleness": staleness,
                 "degraded": self.degraded,
                 "persist_errors": list(self.persist_errors),

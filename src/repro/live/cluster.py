@@ -14,7 +14,7 @@ Topology::
                  ▼               ▼               ▼
            worker 0        worker 1   ...   worker N-1      (processes)
            LiveStatsServer (unchanged shard loop, 1 ledger epoch)
-                 │ epoch snapshots (RPHCOL2 frames over a pipe)
+                 │ epoch SNAPSHOT frames (RPHCOL2, over a pipe)
                  ▼               ▼               ▼
            ──────────────── fan-in pipes ────────────────
                             coordinator                      (this process)
@@ -33,8 +33,9 @@ Topology::
   :class:`~repro.live.client.LiveStatsClient` follows redirects and
   caches the route.
 * Workers seal epochs locally (coordinator-driven ``worker-rotate``)
-  and push the sealed snapshot — per-disk ``RPHCOL2`` collector
-  records behind a JSON extent header — down a private pipe.  The
+  and push the sealed snapshot down a private pipe as the fleet's own
+  ``SNAPSHOT`` frame — per-disk ``RPHCOL2`` collector records behind a
+  JSON extent header, on the worker's ``worker-<i>`` session.  The
   coordinator merges rounds of snapshots with the vectorized v2
   payload merge (:func:`repro.store.codec.merge_collector_payloads`),
   seals them into its own :class:`~repro.live.epochs.EpochLedger`, and
@@ -45,7 +46,8 @@ Topology::
   frame marked ``current``, and the coordinator merges those exactly
   as it merges a sealed round.  Names travel in the extents, never
   inside a record, so any ``vm``/``vdisk`` name is carried exactly.
-* A dead worker (pipe EOF without a BYE) bumps the route generation:
+* A dead worker (pipe EOF without a ``worker-bye``) bumps the route
+  generation:
   the ring is rebuilt over the survivors and broadcast, publishers get
   redirected to the new owners and replay unacked ``DATA_SEQ`` frames
   there.  Acked-but-unsealed records on the dead worker are lost —
@@ -62,11 +64,11 @@ describe the daemon itself and legitimately differ across topologies.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import multiprocessing
 import os
 import socket
-import struct
 import threading
 import time
 import zlib
@@ -82,20 +84,24 @@ from .epochs import Epoch, EpochLedger
 from .exposition import render_openmetrics
 from .protocol import (
     FRAME_CONTROL,
+    FRAME_SNAPSHOT,
     ProtocolError,
     encode_extents,
-    pack_error,
+    encode_host_snapshot,
+    pack_control,
+    pack_frame,
     pack_ok,
+    pack_snapshot,
     pack_text,
-    read_frame,
+    read_frame_view,
     snapshot_extents,
     unpack_control,
+    unpack_snapshot,
 )
 from .server import (
     LiveStatsServer,
     RotationTimer,
     build_analyzer,
-    close_listener,
     close_store,
     fire_on_seal,
     online_info,
@@ -105,14 +111,21 @@ from .server import (
     store_info,
     verdicts_doc,
 )
-from .session import LiveError, rpc, write_frame
+from .session import (
+    LISTEN_BACKLOG,
+    FrameServer,
+    LiveError,
+    close_listener,
+    round_trip,
+    rpc,
+    write_frame,
+)
 
 __all__ = [
     "ClusterServer",
     "HashRing",
     "SnapshotLedger",
     "WorkerRouter",
-    "encode_snapshot",
 ]
 
 #: Virtual nodes per worker on the hash ring.  Enough that removing a
@@ -120,89 +133,11 @@ __all__ = [
 #: them on one neighbour.
 DEFAULT_RING_REPLICAS = 64
 
-# ---------------------------------------------------------------------------
-# Fan-in frame protocol (worker → coordinator pipe)
-# ---------------------------------------------------------------------------
-#
-#   u32 BE frame length | u8 type | u32 BE header length |
-#   header (JSON, UTF-8) | payload bytes
-#
-# The payload of a SNAPSHOT frame is the concatenation of one
-# ``RPHCOL2`` collector record per disk; the header's ``disks`` list
-# carries ``{vm, vdisk, off, len}`` extents into it, so the coordinator
-# slices records out without copying or decoding until merge time.  A
-# header with a ``current`` key carries a live epoch answering the
-# scrape it numbers; without one, a sealed epoch.
-
-FANIN_HELLO = 0x10    #: worker announces {worker, pid, host, port}
-FANIN_SNAPSHOT = 0x11  #: an epoch: extent header + RPHCOL2 records
-FANIN_BYE = 0x12      #: clean shutdown marker (EOF without it = crash)
-
-#: Fan-in frames carry whole sealed epochs (one ~1 KiB record per
-#: disk), so the ceiling is per-epoch, not per-batch.
-MAX_FANIN_BYTES = 256 * 1024 * 1024
-
-_FANIN_HEAD = struct.Struct("!IBI")  # frame length, type, header length
-
 _ROUND_TIMEOUT = 30.0   #: seconds to wait for one rotation's snapshots
 _HELLO_TIMEOUT = 30.0   #: seconds to wait for worker startup
 _RPC_TIMEOUT = 30.0     #: a relayed control op's round-trip timeout
 
 _now = time.monotonic
-
-
-def _pack_fanin(ftype: int, header: Dict, payload: bytes = b"") -> bytes:
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    length = 5 + len(head) + len(payload)
-    if length > MAX_FANIN_BYTES:
-        raise ValueError(
-            f"fan-in frame of {length} bytes exceeds the "
-            f"{MAX_FANIN_BYTES} byte ceiling"
-        )
-    return _FANIN_HEAD.pack(length, ftype, len(head)) + head + payload
-
-
-def _read_fanin(rfile) -> Optional[Tuple[int, Dict, memoryview]]:
-    """One fan-in frame, or ``None`` on clean EOF.
-
-    Raises ``ValueError`` on a torn or oversized frame — the reader
-    treats either as the worker dying mid-write.
-    """
-    prefix = rfile.read(4)
-    if not prefix:
-        return None
-    if len(prefix) != 4:
-        raise ValueError("torn fan-in length prefix")
-    (length,) = struct.unpack("!I", prefix)
-    if length < 5 or length > MAX_FANIN_BYTES:
-        raise ValueError(f"implausible fan-in frame length {length}")
-    body = rfile.read(length)
-    if len(body) != length:
-        raise ValueError("torn fan-in frame body")
-    ftype = body[0]
-    (head_len,) = struct.unpack_from("!I", body, 1)
-    if 5 + head_len > length:
-        raise ValueError("fan-in header overruns its frame")
-    try:
-        header = json.loads(bytes(body[5:5 + head_len]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"bad fan-in header: {exc}") from None
-    return ftype, header, memoryview(body)[5 + head_len:]
-
-
-def encode_snapshot(worker: int, epoch_index: int, pairs,
-                    records: int) -> Tuple[Dict, bytes]:
-    """Encode one epoch as a SNAPSHOT header + payload.
-
-    ``pairs`` is an iterable of ``((vm, vdisk), collector)``; each
-    collector becomes one ``RPHCOL2`` record and an extent entry
-    (:func:`~repro.live.protocol.encode_extents`), so the coordinator
-    can slice per-disk payloads without decoding.
-    """
-    disks, payload = encode_extents(pairs)
-    header = {"worker": worker, "epoch": epoch_index,
-              "records": records, "disks": disks}
-    return header, payload
 
 
 def _records_by_disk(snapshots) -> Dict[DiskKey, List[bytes]]:
@@ -302,7 +237,7 @@ class WorkerRouter:
 # Coordinator-side snapshot history
 # ---------------------------------------------------------------------------
 class SnapshotLedger:
-    """Epoch history built from worker SNAPSHOT frames.
+    """Epoch history built from worker ``SNAPSHOT`` frames.
 
     Wraps an :class:`EpochLedger` (store persistence, quarantine,
     retirement, span bookkeeping) and keeps the raw per-disk
@@ -384,22 +319,6 @@ class SnapshotLedger:
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
-def _forward_to_coordinator(address: Tuple[str, int],
-                            payload: bytes) -> bytes:
-    """Relay a control payload to the coordinator, returning its
-    response frame bytes verbatim (the worker's connection handler
-    passes them straight through)."""
-    from .protocol import pack_frame
-    with socket.create_connection(address, timeout=_RPC_TIMEOUT) as sock:
-        sock.sendall(pack_frame(FRAME_CONTROL, payload))
-        rfile = sock.makefile("rb")
-        frame = read_frame(rfile)
-        if frame is None:
-            raise ValueError("coordinator closed the control connection")
-        ftype, body = frame
-        return pack_frame(ftype, body)
-
-
 def _fd_receive_loop(channel: socket.socket, server: LiveStatsServer) -> None:
     """fd-passing fallback: adopt connections the coordinator sends."""
     while True:
@@ -417,7 +336,7 @@ def _fd_receive_loop(channel: socket.socket, server: LiveStatsServer) -> None:
             except OSError:
                 os.close(fd)
                 continue
-            server.adopt_connection(conn)
+            server.frame_server.adopt(conn)
 
 
 def _worker_main(index: int, config: Dict, fanin_wfd: int,
@@ -437,18 +356,21 @@ def _worker_main(index: int, config: Dict, fanin_wfd: int,
 
     fanin = os.fdopen(fanin_wfd, "wb")
     fanin_lock = threading.Lock()
+    session = f"worker-{index}"
+    seqs = itertools.count(1)
     stop = threading.Event()
 
-    def send_fanin(ftype: int, header: Dict, payload: bytes = b"") -> None:
-        frame = _pack_fanin(ftype, header, payload)
+    def send_op(op: Dict) -> None:
         with fanin_lock:
-            fanin.write(frame)
-            fanin.flush()
+            write_frame(fanin, pack_control(op))
+
+    def send_epoch(header: Dict, payload: bytes) -> None:
+        with fanin_lock:
+            write_frame(fanin, pack_snapshot(session, next(seqs), header,
+                                             payload))
 
     def on_seal(epoch: Epoch) -> None:
-        header, payload = encode_snapshot(
-            index, epoch.index, epoch.service.collectors(), epoch.records)
-        send_fanin(FANIN_SNAPSHOT, header, payload)
+        send_epoch(*encode_host_snapshot(session, epoch))
 
     reuse_port = bool(config["reuse_port"])
     server = LiveStatsServer(
@@ -465,16 +387,16 @@ def _worker_main(index: int, config: Dict, fanin_wfd: int,
         start_enabled=bool(config["start_enabled"]),
         store=None,                 # the coordinator owns the store
         reuse_port=reuse_port,
-        direct_port=0 if reuse_port else None,
         on_seal=on_seal,
-        cluster_member=True,
         online=False,               # the coordinator analyzes merged epochs
     )
     router = WorkerRouter(index, replicas=int(config["replicas"]))
     server.router = router
     coordinator = (config["control"][0], int(config["control"][1]))
-    server.forward_control = (
-        lambda payload: _forward_to_coordinator(coordinator, payload))
+    # Cluster-wide ops are relayed to the coordinator; its response
+    # frame goes back to the client verbatim.
+    server.forward_control = lambda payload: pack_frame(*round_trip(
+        coordinator, pack_frame(FRAME_CONTROL, payload), _RPC_TIMEOUT))
 
     def op_rotate(op: Dict) -> Dict:
         fire("live.cluster.worker", crashable=True, worker_index=index,
@@ -494,11 +416,10 @@ def _worker_main(index: int, config: Dict, fanin_wfd: int,
 
     def op_current(op: Dict) -> Dict:
         pairs = server.live_pairs()
-        header, payload = encode_snapshot(
-            index, len(server.ledger), pairs,
-            sum(collector.commands for _, collector in pairs))
-        header["current"] = op["scrape"]
-        send_fanin(FANIN_SNAPSHOT, header, payload)
+        disks, payload = encode_extents(pairs)
+        send_epoch({"host": session, "epoch": len(server.ledger),
+                    "records": sum(c.commands for _, c in pairs),
+                    "disks": disks, "current": op["scrape"]}, payload)
         return {"worker": index, "disks": len(pairs)}
 
     def op_info(op: Dict) -> Dict:
@@ -526,8 +447,9 @@ def _worker_main(index: int, config: Dict, fanin_wfd: int,
     try:
         server.start()
         address = server.direct_address if reuse_port else server.address
-        send_fanin(FANIN_HELLO, {"worker": index, "pid": os.getpid(),
-                                 "host": address[0], "port": address[1]})
+        send_op({"op": "worker-hello", "worker": index,
+                 "pid": os.getpid(), "host": address[0],
+                 "port": address[1]})
         fire("live.cluster.worker", crashable=True, worker_index=index,
              point="start")
         if fdpass_fd is not None:
@@ -547,8 +469,8 @@ def _worker_main(index: int, config: Dict, fanin_wfd: int,
                 except OSError:
                     pass
             try:
-                send_fanin(FANIN_BYE, {"worker": index,
-                                       "pid": os.getpid()})
+                send_op({"op": "worker-bye", "worker": index,
+                         "pid": os.getpid()})
                 fanin.close()
             except (OSError, ValueError):
                 pass
@@ -604,6 +526,9 @@ class ClusterServer:
                           if rotate_every else None)
         self.window_size = window_size
         self.time_slot_ns = time_slot_ns
+        self.frame_server = FrameServer(
+            {FRAME_CONTROL: self._handle_control}, idle_timeout,
+            "live-cluster-control")
         self._worker_config = {
             "host": host, "port": 0,  # filled in start()
             "reuse_port": not self.fd_passing,
@@ -661,8 +586,6 @@ class ClusterServer:
         self._started = False
         self._closed = False
         self._reserve: Optional[socket.socket] = None
-        self._control_listener: Optional[socket.socket] = None
-        self._control_threads: List[threading.Thread] = []
         self._public_listener: Optional[socket.socket] = None
         self._fdpass_socks: Dict[int, socket.socket] = {}
         self._fdpass_rr = 0
@@ -675,7 +598,7 @@ class ClusterServer:
             raise RuntimeError("cluster already started")
         self._started = True
 
-        self._start_control_server()
+        self.control_address = self.frame_server.listen(self.host, 0)
         self._worker_config["control"] = list(self.control_address)
 
         if self.fd_passing:
@@ -684,7 +607,7 @@ class ClusterServer:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((self.host, self.port))
-            listener.listen(64)
+            listener.listen(LISTEN_BACKLOG)
             self._public_listener = listener
             self.port = listener.getsockname()[1]
         else:
@@ -746,7 +669,7 @@ class ClusterServer:
             self._reserve = None
         self._rebuild_routes()
         if self.fd_passing:
-            threading.Thread(target=self._fdpass_accept_loop,
+            threading.Thread(target=self._deal_connections,
                              name="live-cluster-accept",
                              daemon=True).start()
         if self._rotation is not None:
@@ -768,8 +691,9 @@ class ClusterServer:
         """Wait for every worker to announce (or die trying).
 
         A worker crashing during startup — the ``live.cluster.worker``
-        fault site fires right after HELLO — is survivable: the ring
-        simply starts without it.  Only a full wipe-out fails start.
+        fault site fires right after ``worker-hello`` — is survivable:
+        the ring simply starts without it.  Only a full wipe-out fails
+        start.
         """
         deadline = _now() + _HELLO_TIMEOUT
         stragglers: List[int] = []
@@ -802,6 +726,7 @@ class ClusterServer:
         self._stopping.set()
         if self._rotation is not None:
             self._rotation.stop()
+        self.frame_server.close()
         if self._public_listener is not None:
             close_listener(self._public_listener, self.address)
         with self._control_lock:
@@ -841,7 +766,6 @@ class ClusterServer:
                 except OSError:  # pragma: no cover
                     pass
                 self._reserve = None
-            self._stop_control_server()
             if self.store is not None and self._owns_store:
                 close_store(self.store,
                             self.snapshots.ledger.note_store_failure)
@@ -850,34 +774,39 @@ class ClusterServer:
     # Fan-in / worker liveness
     # ------------------------------------------------------------------
     def _fanin_reader(self, index: int, rfile) -> None:
+        head = bytearray(4)
         try:
             while True:
-                frame = _read_fanin(rfile)
+                frame = read_frame_view(rfile, head)
                 if frame is None:
                     break
-                ftype, header, payload = frame
-                if ftype == FANIN_HELLO:
+                ftype, body = frame
+                if ftype == FRAME_SNAPSHOT:
+                    _session, _seq, header, payload = unpack_snapshot(body)
+                    snapshot = (header, bytes(payload))
                     with self._inbox_cond:
-                        self._worker_addrs[index] = (header["host"],
-                                                     int(header["port"]))
+                        if "current" in header:
+                            self._live_inbox[index].append(snapshot)
+                        else:
+                            self._inbox[index].append(snapshot)
+                            self._last_snapshot_unix[index] = time.time()
+                            self._last_snapshot_mono[index] = \
+                                time.monotonic()
                         self._inbox_cond.notify_all()
-                elif ftype == FANIN_SNAPSHOT and "current" in header:
+                elif ftype == FRAME_CONTROL:
+                    op = unpack_control(body)
                     with self._inbox_cond:
-                        self._live_inbox[index].append(
-                            (header, bytes(payload)))
-                        self._inbox_cond.notify_all()
-                elif ftype == FANIN_SNAPSHOT:
-                    with self._inbox_cond:
-                        self._inbox[index].append(
-                            (header, bytes(payload)))
-                        self._last_snapshot_unix[index] = time.time()
-                        self._last_snapshot_mono[index] = time.monotonic()
-                        self._inbox_cond.notify_all()
-                elif ftype == FANIN_BYE:
-                    with self._inbox_cond:
-                        self._clean.add(index)
+                        if op["op"] == "worker-hello":
+                            self._worker_addrs[index] = (op["host"],
+                                                         int(op["port"]))
+                            self._inbox_cond.notify_all()
+                        elif op["op"] == "worker-bye":
+                            self._clean.add(index)
+                else:
+                    raise ProtocolError(
+                        f"unknown fan-in frame type 0x{ftype:02x}")
         except (OSError, ValueError):
-            pass  # torn frame: the worker died mid-write
+            pass  # a torn or malformed frame: the worker died mid-write
         finally:
             try:
                 rfile.close()
@@ -1137,73 +1066,8 @@ class ClusterServer:
     # Control endpoint (the address `repro serve --workers` publishes
     # for rotate/metrics/snapshot; workers relay public ops here)
     # ------------------------------------------------------------------
-    def _start_control_server(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, 0))
-        listener.listen(16)
-        self._control_listener = listener
-        self.control_address = (self.host, listener.getsockname()[1])
-        thread = threading.Thread(target=self._control_accept_loop,
-                                  name="live-cluster-control",
-                                  daemon=True)
-        thread.start()
-        self._control_threads.append(thread)
-
-    def _stop_control_server(self) -> None:
-        if self._control_listener is None:
-            return
-        close_listener(self._control_listener, self.control_address)
-        for thread in self._control_threads:
-            thread.join(timeout=5.0)
-
-    def _control_accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._control_listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_control, args=(conn,),
-                             name="live-cluster-ctl-conn",
-                             daemon=True).start()
-
-    def _serve_control(self, conn: socket.socket) -> None:
-        try:
-            conn.settimeout(60.0)
-            rfile = conn.makefile("rb")
-            wfile = conn.makefile("wb")
-            while not self._stopping.is_set():
-                try:
-                    frame = read_frame(rfile)
-                except ProtocolError as exc:
-                    write_frame(wfile, pack_error(str(exc)))
-                    return
-                except (socket.timeout, TimeoutError):
-                    return
-                if frame is None:
-                    return
-                ftype, payload = frame
-                try:
-                    if ftype != FRAME_CONTROL:
-                        raise ProtocolError(
-                            "the coordinator does not ingest data "
-                            "frames; publish to the shared ingest port")
-                    response = self._handle_control_op(
-                        unpack_control(payload))
-                except ProtocolError as exc:
-                    response = pack_error(str(exc))
-                except ValueError as exc:
-                    response = pack_error(str(exc))
-                write_frame(wfile, response)
-        except (OSError, ValueError):
-            return
-        finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def _handle_control_op(self, op: Dict) -> bytes:
+    def _handle_control(self, payload) -> bytes:
+        op = unpack_control(payload)
         name = op["op"]
         if name == "ping":
             return pack_ok({"pong": True, "version": 1, "cluster": True,
@@ -1239,21 +1103,21 @@ class ClusterServer:
     # ------------------------------------------------------------------
     # fd-passing fallback data path
     # ------------------------------------------------------------------
-    def _fdpass_accept_loop(self) -> None:
+    def _deal_connections(self) -> None:
+        """Accept on the public listener and deal each connection to
+        the next alive worker over ``SCM_RIGHTS``."""
         while not self._stopping.is_set():
             try:
                 conn, _addr = self._public_listener.accept()
             except OSError:
                 return
             targets = sorted(self._fdpass_socks.keys() & self._alive)
-            sent = False
             if targets:
                 index = targets[self._fdpass_rr % len(targets)]
                 self._fdpass_rr += 1
                 try:
                     socket.send_fds(self._fdpass_socks[index], [b"c"],
                                     [conn.fileno()])
-                    sent = True
                 except OSError:
                     pass
             # SCM_RIGHTS dup'd the descriptor into the worker; this
@@ -1262,8 +1126,6 @@ class ClusterServer:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
-            if not sent:
-                continue
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else (

@@ -25,6 +25,15 @@ Every message in both directions is a *frame*::
   same frame and receive the original ack instead of double-ingesting
   — the mechanism behind :class:`repro.live.client.LiveStatsClient`'s
   idempotent retry.
+* ``SNAPSHOT`` (0x04) — one epoch of one host (or cluster worker),
+  with the same retry identity.  Payload: the ``DATA_SEQ`` session
+  header, then ``u32 BE`` header length, a JSON header ``{"host",
+  "epoch", "records", "start_ns", "end_ns", "sealed_unix", "disks":
+  [{"vm", "vdisk", "off", "len"}, ...]}``, then the concatenated
+  ``RPHCOL2`` collector records the extents point into.  A fleet
+  uplink sends one per sealed epoch to a
+  :class:`~repro.fleet.aggregator.FleetAggregator`; a cluster worker
+  sends one per epoch down its fan-in pipe to the coordinator.
 
 Response frames:
 
@@ -37,11 +46,12 @@ into an ``ERROR`` response; so does any other request type.  Frames
 above :data:`MAX_FRAME_BYTES` are rejected before any allocation, so a
 corrupt length prefix cannot make the daemon balloon.
 
-Epochs travel between tiers — sealed and live ones over the cluster's
-fan-in pipes, sealed ones in the fleet's ``SNAPSHOT`` frames — as one
-``RPHCOL2`` collector record per disk behind a ``{vm, vdisk, off,
-len}`` extent list (:func:`encode_extents`, :func:`snapshot_extents`);
-the names travel beside the records, so any name is carried exactly.
+Epochs travel between tiers in ``SNAPSHOT`` frames — sealed and live
+ones over the cluster's fan-in pipes, sealed ones up the fleet tree —
+as one ``RPHCOL2`` collector record per disk behind a ``{vm, vdisk,
+off, len}`` extent list (:func:`encode_extents`,
+:func:`snapshot_extents`); the names travel beside the records, so any
+name is carried exactly.
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ __all__ = [
     "FRAME_DATA_SEQ",
     "FRAME_ERROR",
     "FRAME_OK",
+    "FRAME_SNAPSHOT",
     "FRAME_TEXT",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
@@ -73,6 +84,7 @@ __all__ = [
     "bytes_to_columns",
     "columns_to_bytes",
     "encode_extents",
+    "encode_host_snapshot",
     "pack_control",
     "pack_data_seq",
     "pack_error",
@@ -80,6 +92,7 @@ __all__ = [
     "pack_ok",
     "pack_redirect",
     "pack_session_head",
+    "pack_snapshot",
     "pack_text",
     "read_frame",
     "read_frame_view",
@@ -88,12 +101,14 @@ __all__ = [
     "unpack_control",
     "unpack_data_seq",
     "unpack_session_head",
+    "unpack_snapshot",
 ]
 
 PROTOCOL_VERSION = 1
 
 FRAME_CONTROL = 0x02
 FRAME_DATA_SEQ = 0x03
+FRAME_SNAPSHOT = 0x04
 FRAME_OK = 0x81
 FRAME_TEXT = 0x82
 FRAME_ERROR = 0xEE
@@ -202,7 +217,7 @@ def _pack_name(name: str) -> bytes:
 
 def pack_session_head(session: str, seq: int) -> bytes:
     """The retry identity opening every sequenced frame (``DATA_SEQ``,
-    the fleet's ``SNAPSHOT``): ``u16 BE`` session-id length, session id
+    ``SNAPSHOT``): ``u16 BE`` session-id length, session id
     (UTF-8), ``u64 BE`` sequence number >= 1."""
     if seq < 1:
         raise ProtocolError(f"sequence number must be >= 1, got {seq}")
@@ -336,7 +351,7 @@ def sort_columns_for_stream(columns: TraceColumns) -> TraceColumns:
 
 
 # ----------------------------------------------------------------------
-# Snapshot extents
+# Snapshot frames
 # ----------------------------------------------------------------------
 def encode_extents(pairs) -> Tuple[List[Dict], bytes]:
     """Encode ``((vm, vdisk), collector)`` pairs as ``(disks, payload)``.
@@ -366,6 +381,117 @@ def snapshot_extents(header: Dict,
     for extent in header["disks"]:
         key = (extent["vm"], extent["vdisk"])
         yield key, bytes(view[extent["off"]:extent["off"] + extent["len"]])
+
+
+def pack_snapshot(session: str, seq: int, header: Dict,
+                  payload: bytes) -> bytes:
+    """Build a ``SNAPSHOT`` frame from an extent header + record bytes.
+
+    ``session`` names one uplink→parent link (it survives reconnects)
+    or one cluster worker's fan-in pipe (``worker-<i>``); ``seq``
+    starts at 1 and increments per frame on that link.  A
+    resend of the same ``(session, seq)`` must be byte-identical —
+    that is what lets the parent answer it from the ack cache.
+    """
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return pack_frame(
+        FRAME_SNAPSHOT,
+        pack_session_head(session, seq)
+        + _LEN.pack(len(head)) + head + payload,
+    )
+
+
+def unpack_snapshot(payload) -> Tuple[str, int, Dict, memoryview]:
+    """Split a ``SNAPSHOT`` payload into
+    ``(session, seq, header, record bytes)``.
+
+    The record bytes come back as a :class:`memoryview` over
+    ``payload`` — never a copy — so a server that read the frame with
+    ``read_frame_view`` slices per-disk extents zero-copy.  The header
+    is validated structurally (host, epoch, extent bounds, one extent
+    per disk) so a malformed frame is rejected before any state is
+    touched.
+    """
+    view = memoryview(payload)
+    session, seq, offset = unpack_session_head(view, "snapshot frame")
+    if len(view) < offset + _LEN.size:
+        raise ProtocolError("snapshot frame truncated in its header")
+    (head_len,) = _LEN.unpack_from(view, offset)
+    offset += _LEN.size
+    if len(view) < offset + head_len:
+        raise ProtocolError("snapshot frame truncated in its header")
+    try:
+        header = json.loads(bytes(view[offset:offset + head_len])
+                            .decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"undecodable snapshot header: {exc}") from None
+    offset += head_len
+    body = view[offset:]
+    _validate_header(header, len(body))
+    return session, seq, header, body
+
+
+def _validate_header(header: Dict, body_len: int) -> None:
+    if not isinstance(header, dict):
+        raise ProtocolError("snapshot header must be a JSON object")
+    host = header.get("host")
+    if not isinstance(host, str) or not host:
+        raise ProtocolError('snapshot header needs a non-empty "host"')
+    epoch = header.get("epoch")
+    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+        raise ProtocolError('snapshot header needs an integer "epoch" >= 0')
+    disks = header.get("disks")
+    if not isinstance(disks, list):
+        raise ProtocolError('snapshot header needs a "disks" extent list')
+    seen = set()
+    for extent in disks:
+        if not isinstance(extent, dict):
+            raise ProtocolError("snapshot extent must be a JSON object")
+        off, length = extent.get("off"), extent.get("len")
+        if (not isinstance(off, int) or not isinstance(length, int)
+                or isinstance(off, bool) or isinstance(length, bool)
+                or off < 0 or length < 0 or off + length > body_len):
+            raise ProtocolError(
+                f"snapshot extent {extent.get('vm')}/{extent.get('vdisk')} "
+                f"overruns its {body_len}-byte payload"
+            )
+        if not isinstance(extent.get("vm"), str) \
+                or not isinstance(extent.get("vdisk"), str):
+            raise ProtocolError("snapshot extent needs vm and vdisk names")
+        key = (extent["vm"], extent["vdisk"])
+        if key in seen:
+            # One record per disk per epoch: two would be merged into
+            # one stored record but judged as two epochs by the
+            # analyzer, and no encoder produces them.
+            raise ProtocolError(
+                f"snapshot header names disk {key[0]}/{key[1]} twice")
+        seen.add(key)
+
+
+def encode_host_snapshot(host: str, epoch) -> Tuple[Dict, bytes]:
+    """Encode one sealed :class:`~repro.live.epochs.Epoch` for ``host``.
+
+    Each disk's collector becomes one ``RPHCOL2`` record and an extent
+    entry (:func:`encode_extents`).  ``sealed_unix`` rides along so
+    every aggregator up the tree can measure snapshot staleness against
+    its own clock.
+    """
+    disks, payload = encode_extents(epoch.service.collectors())
+    header = {
+        "host": host,
+        "epoch": epoch.index,
+        "records": epoch.records,
+        "start_ns": epoch.start_ns,
+        "end_ns": epoch.end_ns,
+        "sealed_unix": epoch.sealed_unix,
+        "disks": disks,
+    }
+    if 23 + len(payload) > MAX_FRAME_BYTES:  # pragma: no cover - huge hosts
+        raise ProtocolError(
+            f"snapshot payload of {len(payload)} bytes exceeds the frame "
+            f"ceiling; rotate more often or split the host"
+        )
+    return header, payload
 
 
 # ----------------------------------------------------------------------

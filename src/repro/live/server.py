@@ -71,11 +71,10 @@ from .protocol import (
     pack_ok,
     pack_redirect,
     pack_text,
-    read_frame_view,
     unpack_control,
     unpack_data_seq,
 )
-from .session import SessionTable, write_frame
+from .session import FrameServer, SessionTable
 from .stream import DiskStream
 
 __all__ = ["LiveStatsServer"]
@@ -132,42 +131,6 @@ def store_info(store, owned: bool) -> Dict:
         entry["records"] = len(store)
         entry["epochs"] = store.epochs
     return entry
-
-
-def close_listener(listener: socket.socket, address) -> None:
-    """Close a listening socket and wake the thread blocked in its
-    ``accept()``, which closing it from another thread does not
-    reliably do.  ``shutdown()`` wakes it on Linux; elsewhere it raises
-    and a loopback connect does — but not on a port shared through
-    ``SO_REUSEPORT``, where the kernel may hand that connect to a
-    sibling's listener."""
-    try:
-        listener.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        socket.create_connection(address, timeout=1.0).close()
-    except OSError:
-        pass
-    try:
-        listener.close()
-    except OSError:  # pragma: no cover
-        pass
-
-
-def close_connections(conns) -> None:
-    """Shut down and close client connections, so a handler thread
-    blocked reading from an idle client wakes instead of sitting out
-    its join timeout."""
-    for conn in conns:
-        try:
-            conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
 
 
 def build_analyzer(online):
@@ -423,22 +386,16 @@ class LiveStatsServer:
         Bind the listener with ``SO_REUSEPORT`` so several worker
         processes can share one public port (the cluster mode of
         :mod:`repro.live.cluster`); the kernel load-balances accepted
-        connections across them.
-    direct_port:
-        When not ``None``, bind a second listener on this port (``0``
-        for ephemeral — see :attr:`direct_address`) serving the same
-        protocol.  A cluster worker uses it as its worker-private
-        address: redirects and coordinator commands name it
-        unambiguously even though every worker shares the public port.
+        connections across them.  Such a daemon also binds an
+        ephemeral direct listener (:attr:`direct_address`) serving the
+        same protocol: a cluster worker's private address, which
+        redirects and coordinator commands name unambiguously even
+        though every worker shares the public port.
     on_seal:
         Optional callback invoked with each sealed
         :class:`~repro.live.epochs.Epoch` (rotation and the final
         drain-on-close seal), under the control lock.  The cluster
         worker's fan-in forwarding hangs off this hook.
-    cluster_member:
-        Enables the worker-internal control ops (``worker-*``) that a
-        cluster coordinator drives; plain standalone servers reject
-        them.
     online:
         The online fingerprint/drift stage
         (:class:`repro.analysis.online.OnlineAnalyzer`).  ``True``
@@ -463,9 +420,7 @@ class LiveStatsServer:
                  start_enabled: bool = True,
                  store=None,
                  reuse_port: bool = False,
-                 direct_port: Optional[int] = None,
                  on_seal=None,
-                 cluster_member: bool = False,
                  online=True):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -483,10 +438,9 @@ class LiveStatsServer:
         self.host = host
         self.port = port
         self.reuse_port = reuse_port
-        self.direct_port = direct_port
-        #: ``(host, port)`` of the direct listener once started.
+        #: ``(host, port)`` of the direct listener of a ``reuse_port``
+        #: daemon once started.
         self.direct_address: Optional[Tuple[str, int]] = None
-        self.cluster_member = cluster_member
         #: Cluster routing: an object with ``redirect_for(vm, vdisk)``
         #: returning the owning worker's ``(host, port)`` (or ``None``
         #: when this worker owns the disk / no table is installed).
@@ -500,7 +454,6 @@ class LiveStatsServer:
         self.control_handlers: Dict[str, "object"] = {}
         self._on_seal = on_seal
         self.backpressure = backpressure
-        self.idle_timeout = idle_timeout
         self.window_size = window_size
         self.time_slot_ns = time_slot_ns
         self._rotation = (RotationTimer(rotate_every, self.rotate)
@@ -533,10 +486,9 @@ class LiveStatsServer:
         self._workers = [
             _ShardWorker(index, self, queue_depth) for index in range(shards)
         ]
-        self._listener: Optional[socket.socket] = None
-        self._direct_listener: Optional[socket.socket] = None
-        self._accept_threads: List[threading.Thread] = []
-        self._stopping = threading.Event()
+        self.frame_server = FrameServer(
+            {FRAME_DATA_SEQ: self._handle_data_seq,
+             FRAME_CONTROL: self._handle_control}, idle_timeout, "live")
         self._started = False
         self._closed = False
 
@@ -544,52 +496,27 @@ class LiveStatsServer:
         self._control_lock = threading.RLock()
         self._stats_lock = threading.Lock()
         self._sessions = SessionTable("hello")
-        self._conns: set = set()
         self.duplicate_frames_total = 0  # retries answered from cache
         self.redirected_frames_total = 0  # non-owned disks bounced
         self.frames_total = 0
         self.records_total = 0
         self.ignored_records_total = 0   # disabled-disk data frames
         self.dropped_records_total = 0   # backpressure sheds
-        self.rejected_frames_total = 0   # malformed / out-of-order
-        self.connections_total = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _bind_listener(self, port: int, reuse_port: bool) -> socket.socket:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuse_port:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        listener.bind((self.host, port))
-        listener.listen(32)
-        return listener
-
     def start(self) -> "LiveStatsServer":
         """Bind, listen and start worker/acceptor threads."""
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        listener = self._bind_listener(self.port, self.reuse_port)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        if self.direct_port is not None:
-            direct = self._bind_listener(self.direct_port, False)
-            self._direct_listener = direct
-            self.direct_address = (self.host, direct.getsockname()[1])
+        self.port = self.frame_server.listen(self.host, self.port,
+                                       self.reuse_port)[1]
+        if self.reuse_port:
+            self.direct_address = self.frame_server.listen(self.host, 0)
         for worker in self._workers:
             worker.start()
-        for name, sock in (("live-accept", self._listener),
-                           ("live-accept-direct", self._direct_listener)):
-            if sock is None:
-                continue
-            thread = threading.Thread(
-                target=self._accept_loop, args=(sock,), name=name,
-                daemon=True,
-            )
-            thread.start()
-            self._accept_threads.append(thread)
         if self._rotation is not None:
             self._rotation.start()
         return self
@@ -616,23 +543,16 @@ class LiveStatsServer:
         if self._closed:
             return
         self._closed = True
-        self._stopping.set()
         if self._rotation is not None:
             self._rotation.stop()
-        for listener, address in ((self._listener, self.address),
-                                  (self._direct_listener,
-                                   self.direct_address)):
-            if listener is not None:
-                close_listener(listener, address)
-        with self._stats_lock:
-            conns = list(self._conns)
-        close_connections(conns)
+        # Connection handlers go first, while the shard workers still
+        # run: a frame mid-ingest gets its ack (or a connection error)
+        # instead of leaving its handler parked on the item.
+        self.frame_server.close()
         for worker in self._workers:
             if worker.is_alive():
                 worker.queue.put(_SHUTDOWN)
                 worker.join(timeout=10.0)
-        for thread in self._accept_threads:
-            thread.join(timeout=5.0)
         # The control lock serializes this final seal and the store
         # shutdown against any straggling rotate() (timer or client):
         # no double-seal of the same collectors, no append to a closed
@@ -644,109 +564,6 @@ class LiveStatsServer:
                 fire_on_seal(self, self._on_seal, self.ledger.seal(pairs))
             if self.store is not None and self._owns_store:
                 close_store(self.store, self.ledger.note_store_failure)
-
-    # ------------------------------------------------------------------
-    # Accept / connection handling
-    # ------------------------------------------------------------------
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return  # listener closed
-            self._start_connection(conn)
-
-    def _start_connection(self, conn: socket.socket) -> None:
-        with self._stats_lock:
-            self._conns.add(conn)
-            self.connections_total += 1
-        thread = threading.Thread(
-            target=self._serve_connection, args=(conn,),
-            name="live-conn", daemon=True,
-        )
-        thread.start()
-
-    def adopt_connection(self, conn: socket.socket) -> None:
-        """Serve an externally accepted connection.
-
-        The fd-passing fallback of :mod:`repro.live.cluster` accepts
-        on a single listener and hands the connected sockets to worker
-        processes over ``SCM_RIGHTS``; the receiving side re-wraps the
-        descriptor and injects it here, after which it is
-        indistinguishable from a locally accepted connection.
-        """
-        if self._stopping.is_set() or not self._started:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            return
-        self._start_connection(conn)
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            if self.idle_timeout is not None:
-                conn.settimeout(self.idle_timeout)
-            rfile = conn.makefile("rb")
-            wfile = conn.makefile("wb")
-            # One preallocated length-prefix scratch per connection:
-            # the frame reader fills it in place instead of
-            # allocating a 4-byte object per frame.
-            head = bytearray(4)
-            while not self._stopping.is_set():
-                try:
-                    fire("live.server.recv")
-                    frame = read_frame_view(rfile, head)
-                except ProtocolError as exc:
-                    # Framing is broken; report and drop the link
-                    # (there is no way to resynchronize a byte stream
-                    # with a corrupt length prefix).
-                    self._count_rejected()
-                    self._send(wfile, pack_error(str(exc)))
-                    return
-                except (socket.timeout, TimeoutError):
-                    return  # idle client
-                if frame is None:
-                    return  # clean EOF
-                ftype, payload = frame
-                try:
-                    if ftype == FRAME_DATA_SEQ:
-                        response = self._handle_data_seq(payload)
-                    elif ftype == FRAME_CONTROL:
-                        response = self._handle_control(payload)
-                    else:
-                        raise ProtocolError(
-                            f"unknown frame type 0x{ftype:02x}"
-                        )
-                except ProtocolError as exc:
-                    self._count_rejected()
-                    response = pack_error(str(exc))
-                if not self._send(wfile, response):
-                    return
-        except (OSError, ValueError):
-            return  # connection torn down mid-frame
-        finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            with self._stats_lock:
-                self._conns.discard(conn)
-
-    @staticmethod
-    def _send(wfile, data: bytes) -> bool:
-        """Write one response; ``False`` when the connection is done
-        for (an injected short write truncates the response, exactly
-        as if the connection died mid-ack)."""
-        try:
-            write_frame(wfile, data, fire("live.server.send"))
-            return True
-        except (OSError, ValueError):
-            return False
-
-    def _count_rejected(self) -> None:
-        with self._stats_lock:
-            self.rejected_frames_total += 1
 
     # ------------------------------------------------------------------
     # Data plane
@@ -790,7 +607,7 @@ class LiveStatsServer:
             try:
                 return self._ingest(vm, vdisk, body)
             except ProtocolError as exc:
-                self._count_rejected()
+                self.frame_server.count_rejected()
                 return pack_error(str(exc))
 
         response, fresh = self._sessions.serve(session, seq, ingest)
@@ -995,13 +812,14 @@ class LiveStatsServer:
                 "ingest_records_total": self.records_total,
                 "ignored_records_total": self.ignored_records_total,
                 "dropped_records_total": self.dropped_records_total,
-                "rejected_frames_total": self.rejected_frames_total,
+                "rejected_frames_total":
+                    self.frame_server.rejected_frames_total,
                 "duplicate_frames_total": self.duplicate_frames_total,
                 "redirected_frames_total": self.redirected_frames_total,
                 "persist_failures_total": len(self.ledger.persist_errors),
                 "degraded": 1 if self.ledger.degraded else 0,
-                "connections_open": len(self._conns),
-                "connections_total": self.connections_total,
+                "connections_open": self.frame_server.connections_open,
+                "connections_total": self.frame_server.connections_total,
             }
         return render_openmetrics(service.collectors(), daemon,
                                   verdicts=online_metrics(self, daemon))
@@ -1022,11 +840,12 @@ class LiveStatsServer:
                 "records_total": self.records_total,
                 "ignored_records_total": self.ignored_records_total,
                 "dropped_records_total": self.dropped_records_total,
-                "rejected_frames_total": self.rejected_frames_total,
+                "rejected_frames_total":
+                    self.frame_server.rejected_frames_total,
                 "duplicate_frames_total": self.duplicate_frames_total,
                 "redirected_frames_total": self.redirected_frames_total,
-                "connections_open": len(self._conns),
-                "connections_total": self.connections_total,
+                "connections_open": self.frame_server.connections_open,
+                "connections_total": self.frame_server.connections_total,
                 "queue_depths": [w.queue.qsize() for w in self._workers],
                 "sessions": len(self._sessions),
                 "degraded": self.ledger.degraded,

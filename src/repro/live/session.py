@@ -1,4 +1,4 @@
-"""One sequenced session, both ends.
+"""One sequenced session and one frame server, both ends.
 
 The daemon's ``DATA_SEQ`` frames and the fleet's ``SNAPSHOT`` frames
 share one exactly-once discipline: a publisher numbers its frames 1, 2,
@@ -6,11 +6,13 @@ share one exactly-once discipline: a publisher numbers its frames 1, 2,
 a retry of the last frame with that frame's cached ack instead of
 handling it twice.  The receiving end is :class:`SessionTable`, held by
 :class:`~repro.live.server.LiveStatsServer` and
-:class:`~repro.fleet.aggregator.FleetAggregator`; the sending end is
-:func:`write_frame`, :func:`read_response`, :func:`rpc` and
+:class:`~repro.fleet.aggregator.FleetAggregator`, behind one
+:class:`FrameServer` connection loop (which the cluster coordinator's
+control endpoint uses too); the sending end is :func:`write_frame`,
+:func:`read_response`, :func:`round_trip`, :func:`rpc` and
 :class:`Backoff`, behind :class:`~repro.live.client.LiveStatsClient`,
 :class:`~repro.fleet.uplink.FleetUplink`, ``fleet_rpc`` and the cluster
-coordinator.
+coordinator and its workers.
 """
 
 from __future__ import annotations
@@ -24,21 +26,27 @@ from collections import OrderedDict
 from itertools import islice
 from typing import Callable, Dict, Optional, Tuple
 
+from ..faults import fire
 from .protocol import (
     FRAME_ERROR,
     FRAME_OK,
     FRAME_TEXT,
     ProtocolError,
     pack_control,
+    pack_error,
     read_frame,
+    read_frame_view,
 )
 
 __all__ = [
     "Backoff",
+    "FrameServer",
     "LiveConnectionError",
     "LiveError",
     "SessionTable",
+    "close_listener",
     "read_response",
+    "round_trip",
     "rpc",
     "write_frame",
 ]
@@ -59,6 +67,14 @@ DUPLICATE_WAIT_SECONDS = 30.0
 DEFAULT_RETRY_BACKOFF = 0.05
 DEFAULT_RETRY_BACKOFF_CAP = 2.0
 DEFAULT_RETRY_JITTER = 0.5
+
+#: Listen backlog of every listener: the frame servers' and the
+#: cluster's fd-passing public one.
+LISTEN_BACKLOG = 128
+
+#: How long ``FrameServer.close()`` waits for each connection handler;
+#: a handler mid-request finishes it first (its reply then fails).
+_HANDLER_JOIN_SECONDS = 10.0
 
 
 class LiveError(RuntimeError):
@@ -285,15 +301,14 @@ def write_frame(wfile, frame: bytes, action=None) -> None:
     wfile.flush()
 
 
-def read_response(rfile):
-    """Read one response: ``OK`` → its JSON document, ``TEXT`` → its
-    text; ``ERROR`` raises :class:`LiveError` (with any ``redirect``),
-    EOF :class:`LiveConnectionError`, any other frame type
-    :class:`~repro.live.protocol.ProtocolError`."""
+def _read_reply(rfile) -> Tuple[int, bytes]:
     frame = read_frame(rfile)
     if frame is None:
         raise LiveConnectionError("connection closed before a response")
-    ftype, payload = frame
+    return frame
+
+
+def _decode_response(ftype: int, payload: bytes):
     if ftype == FRAME_OK:
         return json.loads(payload.decode("utf-8"))
     if ftype == FRAME_TEXT:
@@ -310,13 +325,201 @@ def read_response(rfile):
     raise ProtocolError(f"unexpected response type 0x{ftype:02x}")
 
 
-def rpc(address: Tuple[str, int], op: Dict, timeout: float = 30.0):
-    """One control round-trip on a fresh connection: ``op`` out, the
-    :func:`read_response` of the answer back."""
+def read_response(rfile):
+    """Read one response: ``OK`` → its JSON document, ``TEXT`` → its
+    text; ``ERROR`` raises :class:`LiveError` (with any ``redirect``),
+    EOF :class:`LiveConnectionError`, any other frame type
+    :class:`~repro.live.protocol.ProtocolError`."""
+    return _decode_response(*_read_reply(rfile))
+
+
+def round_trip(address: Tuple[str, int], frame: bytes,
+               timeout: float = 30.0) -> Tuple[int, bytes]:
+    """One request ``frame`` out on a fresh connection, the ``(type,
+    payload)`` of the answer back; EOF raises
+    :class:`LiveConnectionError`."""
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.sendall(pack_control(op))
-        return read_response(sock.makefile("rb"))
+        sock.sendall(frame)
+        return _read_reply(sock.makefile("rb"))
+
+
+def rpc(address: Tuple[str, int], op: Dict, timeout: float = 30.0):
+    """One control round-trip: ``op`` out, the :func:`read_response`
+    of the answer back."""
+    return _decode_response(*round_trip(address, pack_control(op), timeout))
+
+
+def close_listener(listener: socket.socket, address) -> None:
+    """Close a listening socket and wake the thread blocked in its
+    ``accept()``, which closing it from another thread does not
+    reliably do.  ``shutdown()`` wakes it on Linux; elsewhere it raises
+    and a loopback connect does — but not on a port shared through
+    ``SO_REUSEPORT``, where the kernel may hand that connect to a
+    sibling's listener."""
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        socket.create_connection(address, timeout=1.0).close()
+    except OSError:
+        pass
+    try:
+        listener.close()
+    except OSError:  # pragma: no cover
+        pass
+
+
+class FrameServer:
+    """The receiving end of the frame protocol: listeners, one thread
+    per connection, and one loop — read a frame, dispatch it on its
+    type, write the reply.
+
+    ``handlers`` maps a request frame type to ``callable(payload) ->
+    response frame bytes``; the payload is a :class:`memoryview` over
+    the received body (:func:`~repro.live.protocol.read_frame_view`).
+    One rule for every server that hands it a table:
+
+    * a handler's ``ValueError`` (a ``ProtocolError`` included) is
+      answered ``ERROR``, counted in :attr:`rejected_frames_total`, and
+      the connection stays open;
+    * an unknown frame type is answered ``unknown frame type 0x..``
+      the same way;
+    * a framing error (torn or oversized frame) is answered ``ERROR``,
+      counted, and the connection closes — a byte stream with a corrupt
+      length prefix cannot be resynchronized;
+    * EOF, an idle timeout or a failed reply write ends the connection.
+
+    The ``live.server.recv`` and ``live.server.send`` fault sites fire
+    before each frame read and each reply write.
+    """
+
+    def __init__(self, handlers: Dict[int, Callable], idle_timeout,
+                 name: str):
+        self.handlers = handlers
+        self.idle_timeout = idle_timeout
+        self.name = name
+        self.connections_total = 0
+        self.rejected_frames_total = 0
+        self._listeners = []   # (socket, address, accept thread)
+        self._conns: Dict[socket.socket, threading.Thread] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    @property
+    def connections_open(self) -> int:
+        with self._lock:
+            return len(self._conns)
+
+    def listen(self, host: str, port: int,
+               reuse_port: bool = False) -> Tuple[str, int]:
+        """Bind a listener (``port=0``: ephemeral; ``reuse_port``:
+        ``SO_REUSEPORT``, so sibling processes share the port) and
+        accept on it; the bound ``(host, port)``."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        if reuse_port:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        listener.bind((host, port))
+        listener.listen(LISTEN_BACKLOG)
+        address = (host, listener.getsockname()[1])
+        thread = threading.Thread(target=self._accept, args=(listener,),
+                                  name=f"{self.name}-accept", daemon=True)
+        self._listeners.append((listener, address, thread))
+        thread.start()
+        return address
+
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _addr = listener.accept()
+            except OSError:
+                return  # listener closed
+            self.adopt(conn)
+
+    def adopt(self, conn: socket.socket) -> None:
+        """Serve a connected socket — an accepted one, or one handed
+        over by the cluster's fd-passing fallback; a closed server
+        closes it."""
+        with self._lock:
+            if self._closed:
+                conn.close()
+                return
+            thread = threading.Thread(target=self._serve, args=(conn,),
+                                      name=f"{self.name}-conn",
+                                      daemon=True)
+            self._conns[conn] = thread
+            self.connections_total += 1
+        thread.start()
+
+    def count_rejected(self) -> None:
+        """Count a frame rejected inside a handler that still replied
+        (a rejection cached as a sequenced frame's ack)."""
+        with self._lock:
+            self.rejected_frames_total += 1
+
+    def _serve(self, conn: socket.socket) -> None:
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(self.idle_timeout)
+            rfile = conn.makefile("rb")
+            wfile = conn.makefile("wb")
+            # One preallocated length-prefix scratch per connection:
+            # the frame reader fills it in place instead of
+            # allocating a 4-byte object per frame.
+            head = bytearray(4)
+            while not self._closed:
+                try:
+                    fire("live.server.recv")
+                    frame = read_frame_view(rfile, head)
+                except ProtocolError as exc:
+                    self.count_rejected()
+                    write_frame(wfile, pack_error(str(exc)),
+                                fire("live.server.send"))
+                    return
+                if frame is None:
+                    return  # clean EOF
+                ftype, payload = frame
+                handler = self.handlers.get(ftype)
+                try:
+                    if handler is None:
+                        raise ProtocolError(
+                            f"unknown frame type 0x{ftype:02x}")
+                    response = handler(payload)
+                except ValueError as exc:
+                    self.count_rejected()
+                    response = pack_error(str(exc))
+                write_frame(wfile, response, fire("live.server.send"))
+        except (OSError, ValueError):
+            return  # idle timeout, or the connection torn down
+        finally:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover
+                pass
+            with self._lock:
+                self._conns.pop(conn, None)
+
+    def close(self) -> None:
+        """Close every listener, shut every connection down (a handler
+        blocked reading an idle client wakes) and join every handler."""
+        with self._lock:
+            self._closed = True
+            listeners, self._listeners = self._listeners, []
+        for listener, address, thread in listeners:
+            close_listener(listener, address)
+            thread.join(timeout=5.0)
+        with self._lock:
+            conns = dict(self._conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for thread in conns.values():
+            if thread is not threading.current_thread():
+                thread.join(timeout=_HANDLER_JOIN_SECONDS)
 
 
 class Backoff:

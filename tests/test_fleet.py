@@ -464,21 +464,38 @@ class TestFleetTree:
             assert root.info()["epochs_applied_total"] == 1
             assert root.duplicate_frames_total == 1
 
-    def test_close_does_not_wait_out_an_idle_child(self):
-        """A child that sent one snapshot and keeps its connection open
+    @pytest.mark.parametrize("server", ["daemon", "aggregator",
+                                        "coordinator"])
+    def test_close_does_not_wait_out_an_idle_child(self, server):
+        """A client that got one answer and keeps its connection open
         leaves a handler thread blocked in a read; ``close()`` must shut
-        the socket down, not sit in that thread's join timeout."""
-        root = FleetAggregator(port=0, node="root").start()
-        (header, payload), _ = _host_epochs("esx-a", 1)[0][0], None
-        with socket.create_connection(root.address) as sock:
+        the socket down, not sit in that thread's join timeout — on
+        every frame server: the daemon, the aggregator and the cluster
+        coordinator's control endpoint."""
+        from repro.live import ClusterServer, LiveStatsServer
+
+        if server == "daemon":
+            node = LiveStatsServer(port=0, shards=1).start()
+            address = node.address
+        elif server == "aggregator":
+            node = FleetAggregator(port=0, node="root").start()
+            address = node.address
+        else:
+            node = ClusterServer(workers=1, online=False).start()
+            address = node.control_address
+        with socket.create_connection(address) as sock:
             rfile = sock.makefile("rb")
-            sock.sendall(pack_snapshot("link-1", 1, header, payload))
+            sock.sendall(pack_control({"op": "ping"}))
             assert read_frame(rfile)[0] == FRAME_OK
+            handlers = list(node.frame_server._conns.values())
+            assert handlers
             begin = time.monotonic()
-            root.close()
+            node.close()
             assert time.monotonic() - begin < 1.0
-            assert not any(t.is_alive() for t in root._conn_threads)
-            assert not root._conns
+            sock.settimeout(1.0)
+            assert read_frame(rfile) is None  # EOF, not a timeout
+            assert not any(t.is_alive() for t in handlers)
+            assert not node.frame_server._conns
 
     def test_sequence_gap_and_unknown_session_rejected(self):
         with FleetAggregator(port=0, node="root") as root:
@@ -709,6 +726,24 @@ class TestFleetChaos:
             assert info["epochs_applied_total"] == 4
             got = root.snapshot_dict()["disks"]
             assert _canon(got) == _canon(expected)
+
+    def test_server_send_site_fires_on_an_aggregator(self):
+        """The aggregator answers through the daemon's connection loop,
+        so the ``live.server.send`` site reaches it: a truncated ack is
+        retried, answered from the ack cache and applied once."""
+        plan = FaultPlan().partial("live.server.send", at=1, fraction=0.3)
+        snapshots, union = _host_epochs("esx-a", 4)
+        with FleetAggregator(port=0, node="root") as root:
+            with inject(plan) as injector:
+                with _fast_uplink([root.address], host="esx-a") as uplink:
+                    for header, payload in snapshots:
+                        uplink.enqueue(header, payload)
+                    assert uplink.drain(timeout=30.0)
+            assert injector.fired
+            assert root.info()["epochs_applied_total"] == 4
+            assert root.duplicate_frames_total >= 1
+            assert _canon(root.snapshot_dict()["disks"]) \
+                == _canon(_expected_disks(union))
 
     def test_mid_tree_faults_with_failover_parents(self):
         plan = FaultPlan(name="uplink-resets")

@@ -33,22 +33,24 @@ from repro.live import (
     SnapshotLedger,
     WorkerRouter,
 )
-from repro.live.cluster import (
-    FANIN_BYE,
-    FANIN_HELLO,
-    FANIN_SNAPSHOT,
-    _pack_fanin,
-    _read_fanin,
-    encode_snapshot,
-)
 from repro.live.epochs import EpochLedger
 from repro.live.exposition import render_openmetrics
 from repro.live.protocol import (
+    FRAME_CONTROL,
     FRAME_OK,
+    FRAME_SNAPSHOT,
+    ProtocolError,
     columns_to_bytes,
+    encode_extents,
+    encode_host_snapshot,
+    pack_control,
     pack_data_seq,
+    pack_snapshot,
     read_frame,
+    read_frame_view,
     sort_columns_for_stream,
+    unpack_control,
+    unpack_snapshot,
 )
 from repro.live.stream import DiskStream
 from repro.parallel.trace_io import records_to_columns
@@ -145,26 +147,37 @@ class TestHashRing:
 # Fan-in frame codec
 # ---------------------------------------------------------------------------
 class TestFaninCodec:
+    """The fan-in pipe carries the shared frames: ``CONTROL``
+    ``worker-hello``/``worker-bye`` around ``SNAPSHOT`` frames on the
+    worker's ``worker-<i>`` session."""
+
+    _HEADER = {"host": "worker-3", "epoch": 0, "records": 0, "disks": []}
+
     def test_roundtrip_all_types(self):
-        hello = _pack_fanin(FANIN_HELLO, {"worker": 3, "port": 99})
-        snap = _pack_fanin(FANIN_SNAPSHOT, {"disks": []}, b"payload!")
-        bye = _pack_fanin(FANIN_BYE, {"worker": 3})
+        hello = pack_control({"op": "worker-hello", "worker": 3,
+                              "port": 99})
+        snap = pack_snapshot("worker-3", 1, self._HEADER, b"payload!")
+        bye = pack_control({"op": "worker-bye", "worker": 3})
         stream = io.BytesIO(hello + snap + bye)
-        ftype, header, payload = _read_fanin(stream)
-        assert (ftype, header) == (FANIN_HELLO, {"worker": 3, "port": 99})
-        ftype, header, payload = _read_fanin(stream)
-        assert ftype == FANIN_SNAPSHOT
+        ftype, body = read_frame_view(stream)
+        assert (ftype, unpack_control(body)) == (
+            FRAME_CONTROL, {"op": "worker-hello", "worker": 3, "port": 99})
+        ftype, body = read_frame_view(stream)
+        assert ftype == FRAME_SNAPSHOT
+        session, seq, header, payload = unpack_snapshot(body)
+        assert (session, seq, header) == ("worker-3", 1, self._HEADER)
         assert bytes(payload) == b"payload!"
-        ftype, header, payload = _read_fanin(stream)
-        assert ftype == FANIN_BYE
-        assert _read_fanin(stream) is None  # clean EOF
+        ftype, body = read_frame_view(stream)
+        assert (ftype, unpack_control(body)["op"]) == (FRAME_CONTROL,
+                                                       "worker-bye")
+        assert read_frame_view(stream) is None  # clean EOF
 
     def test_torn_frames_raise(self):
-        frame = _pack_fanin(FANIN_SNAPSHOT, {"disks": []}, b"x" * 64)
-        with pytest.raises(ValueError, match="torn"):
-            _read_fanin(io.BytesIO(frame[:2]))
-        with pytest.raises(ValueError, match="torn"):
-            _read_fanin(io.BytesIO(frame[:-5]))
+        frame = pack_snapshot("worker-3", 1, self._HEADER, b"x" * 64)
+        with pytest.raises(ProtocolError, match="truncated frame length"):
+            read_frame_view(io.BytesIO(frame[:2]))
+        with pytest.raises(ProtocolError, match="truncated frame body"):
+            read_frame_view(io.BytesIO(frame[:-5]))
 
     def test_encode_snapshot_extents_slice_back_exactly(self):
         per_disk = {}
@@ -172,9 +185,9 @@ class TestFaninCodec:
             collector = replay_into_collector(
                 _records(200, seed=i + 1), VscsiStatsCollector())
             per_disk[key] = collector
-        header, payload = encode_snapshot(
-            worker=1, epoch_index=4, pairs=per_disk.items(), records=800)
-        assert header["worker"] == 1 and header["epoch"] == 4
+        epoch = EpochLedger().seal(list(per_disk.items()))
+        header, payload = encode_host_snapshot("worker-1", epoch)
+        assert header["host"] == "worker-1" and header["epoch"] == 0
         assert len(header["disks"]) == len(_DISKS)
         for extent in header["disks"]:
             key = (extent["vm"], extent["vdisk"])
@@ -271,13 +284,18 @@ class TestClusterPartitionProperty:
             ref_ledger.seal(pairs)
             snapshots = []
             for worker_index, wpairs in sorted(worker_pairs.items()):
-                header, payload = encode_snapshot(
-                    worker_index, epoch_index, wpairs,
-                    sum(c.commands for _, c in wpairs))
+                disks, payload = encode_extents(wpairs)
+                header = {"host": f"worker-{worker_index}",
+                          "epoch": epoch_index,
+                          "records": sum(c.commands for _, c in wpairs),
+                          "disks": disks}
                 # Through the wire format, exactly as the coordinator
-                # receives it.
-                ftype, rt_header, rt_payload = _read_fanin(io.BytesIO(
-                    _pack_fanin(FANIN_SNAPSHOT, header, payload)))
+                # receives it: a SNAPSHOT frame on the worker's session.
+                ftype, body = read_frame_view(io.BytesIO(pack_snapshot(
+                    f"worker-{worker_index}", epoch_index + 1, header,
+                    payload)))
+                _session, _seq, rt_header, rt_payload = \
+                    unpack_snapshot(body)
                 snapshots.append((rt_header, bytes(rt_payload)))
             cl_ledger.seal_round(snapshots)
 
@@ -315,10 +333,8 @@ class TestClusterPartitionProperty:
                 stream.ingest(records_to_columns(chunk))
             sealed = stream.seal()
             pairs = [(("vm", "d"), sealed)] if sealed is not None else []
-            header, payload = encode_snapshot(
-                0, epoch_index, pairs,
-                sum(c.commands for _, c in pairs))
-            ledger.seal_round([(header, payload)])
+            disks, payload = encode_extents(pairs)
+            ledger.seal_round([({"disks": disks}, payload)])
         reference = replay_into_collector(records, VscsiStatsCollector())
         merged = ledger.merged_history().collector("vm", "d")
         assert merged is not None

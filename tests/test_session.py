@@ -1,4 +1,5 @@
-"""The shared receiver-side session table, alone.
+"""The shared receiver side, alone: the session table and the frame
+server.
 
 One Hypothesis state machine drives a :class:`SessionTable` the way
 publishers and receivers do — admissions (retries, next frames, stale
@@ -7,6 +8,7 @@ push three tracked sessions past a small bound — against a model of
 what each publisher has had acknowledged.
 """
 
+import socket
 import sys
 import threading
 import time
@@ -21,8 +23,17 @@ from hypothesis.stateful import (
 )
 
 from repro.live import session as session_module
-from repro.live.protocol import ProtocolError
-from repro.live.session import SessionTable
+from repro.live.protocol import (
+    FRAME_CONTROL,
+    FRAME_ERROR,
+    FRAME_OK,
+    ProtocolError,
+    pack_control,
+    pack_frame,
+    pack_ok,
+    read_frame,
+)
+from repro.live.session import FrameServer, SessionTable
 
 SESSIONS = ("a", "b", "c")
 
@@ -236,3 +247,51 @@ def test_racing_retries_complete_each_frame_once():
     assert all(response == f"{session}:{seq}".encode()
                for session, seq, response in answers)
     assert all("stale" in message for message in refused)
+
+
+def test_frame_server_counts_and_closes_under_racing_clients():
+    """Eight clients race connects, good frames and rejected ones (a
+    handler's ``ProtocolError``, an unknown frame type) against one
+    frame server under a tiny switch interval: every connection and
+    every rejection is counted once, every connection stays open after
+    its rejections, and ``close()`` leaves no handler behind."""
+
+    def handle(payload):
+        if bytes(payload) == b'"bad"':
+            raise ProtocolError("bad op")
+        return pack_ok({"ok": True})
+
+    server = FrameServer({FRAME_CONTROL: handle}, 30.0, "stress")
+    address = server.listen("127.0.0.1", 0)
+    answers, errors = [], []
+
+    def client():
+        for _ in range(5):
+            with socket.create_connection(address, timeout=30.0) as sock:
+                rfile = sock.makefile("rb")
+                for frame in (pack_control({"op": "ping"}),
+                              pack_frame(FRAME_CONTROL, b'"bad"'),
+                              pack_frame(0x7F, b""),
+                              pack_control({"op": "ping"})):
+                    sock.sendall(frame)
+                    ftype, _body = read_frame(rfile)
+                    (answers if ftype == FRAME_OK else errors).append(ftype)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) == 80 and errors == [FRAME_ERROR] * 80
+    assert server.connections_total == 40
+    assert server.rejected_frames_total == 80
+    handlers = list(server._conns.values())
+    server.close()
+    assert not any(thread.is_alive() for thread in handlers)
+    assert server.connections_open == 0
