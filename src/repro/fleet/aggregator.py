@@ -163,9 +163,11 @@ class FleetAggregator:
     def _apply(self, session: str, seq: int, header: Dict, body) -> bytes:
         """Merge one admitted snapshot (persist, analyse and relay it
         when it is new); its ack.  Under ``_lock``, so relays leave in
-        apply order."""
-        payload = bytes(body)
-        applied, staleness = self.ledger.apply(header, payload, via=session)
+        apply order.  The frame is sliced into per-disk records once,
+        for the ledger and the store alike."""
+        records = sorted(snapshot_extents(header, body))
+        applied, staleness = self.ledger.apply(header, body, via=session,
+                                               records=records)
         doc = {"applied": applied, "duplicate": not applied,
                "host": header["host"], "epoch": header["epoch"],
                "seq": seq, "node": self.node}
@@ -173,20 +175,20 @@ class FleetAggregator:
             doc["staleness_seconds"] = staleness
         if applied and (self.store is not None
                         or self.analyzer is not None):
-            self._record(header, payload)
+            self._record(header, records)
         if applied and self.uplink is not None:
-            self.uplink.enqueue(header, payload)
+            self.uplink.enqueue(header, body)
         return pack_ok(doc)
 
-    def _record(self, header: Dict, payload: bytes) -> None:
-        """Persist, then analyse, one applied snapshot (root only).
+    def _record(self, header: Dict, records) -> None:
+        """Persist, then analyse, one applied snapshot's sorted
+        ``(disk key, record)`` pairs (root only).
 
-        Each record is sliced out of the frame and decoded once.  The
-        decode is the validation that keeps an undecodable record out
-        of the store, and its collectors are what the analyzer reads;
-        what is persisted is the received bytes themselves.
+        Each record is decoded once.  The decode is the validation that
+        keeps an undecodable record out of the store, and its
+        collectors are what the analyzer reads; what is persisted is
+        the received bytes themselves.
         """
-        records = sorted(snapshot_extents(header, payload))
         try:
             pairs = [(key, collector_from_bytes(record))
                      for key, record in records]

@@ -11,13 +11,13 @@ being merged twice.  Together they give the acceptance guarantee: no
 schedule of resets, crashes and replays loses or double-counts an
 epoch.
 
-Payloads are kept raw (``RPHCOL2`` records per disk) so the global
-merge is one vectorized
-:func:`~repro.store.codec.merge_collector_payloads` reduce per disk.
-Long-running aggregators compact each disk's list once it exceeds
-:data:`COMPACT_AT` records — the merge is associative, so folding a
-prefix into a single record is exact and bounds memory at
-O(disks × hosts), not O(epochs).
+Each host's epochs are kept raw, in the daemon's per-disk
+:class:`~repro.live.epochs.RecordPile` of ``RPHCOL2`` records, so every
+merged view is one vectorized reduce per disk
+(:func:`~repro.live.epochs.merge_records`).  The pile folds a disk's
+records into one past :data:`COMPACT_AT` — the merge is associative,
+so the fold is exact and bounds memory at O(disks × hosts), not
+O(epochs).
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.collector import VscsiStatsCollector
 from ..core.service import DiskKey
-from ..store.codec import collector_to_bytes, merge_collector_payloads
+from ..live.epochs import COMPACT_AT, RecordPile, merge_records
+from ..live.protocol import snapshot_extents
 
 __all__ = ["COMPACT_AT", "FleetLedger", "HostState"]
-
-#: Per-disk raw-payload list length that triggers an exact in-place
-#: compaction (merge the list into one record).
-COMPACT_AT = 32
 
 #: Staleness samples retained for the percentile summary.
 _STALENESS_SAMPLES = 4096
@@ -50,15 +47,15 @@ class HostState:
     into the watermark as gaps fill.
     """
 
-    __slots__ = ("watermark", "sparse", "payloads", "records",
+    __slots__ = ("watermark", "sparse", "pile", "records",
                  "epochs_applied", "last_epoch", "last_sealed_unix",
                  "last_applied_unix", "last_staleness", "via")
 
-    def __init__(self):
+    def __init__(self, compact_at: int = COMPACT_AT):
         self.watermark = -1
         self.sparse: Set[int] = set()
-        #: Per-disk raw RPHCOL2 records (compacted past COMPACT_AT).
-        self.payloads: Dict[DiskKey, List[bytes]] = {}
+        #: Per-disk raw RPHCOL2 records (folded past ``compact_at``).
+        self.pile = RecordPile(compact_at)
         self.records = 0
         self.epochs_applied = 0
         self.last_epoch: Optional[int] = None
@@ -88,7 +85,7 @@ class HostState:
             "last_applied_unix": self.last_applied_unix,
             "last_staleness_seconds": self.last_staleness,
             "via": self.via,
-            "disks": len(self.payloads),
+            "disks": len(self.pile.by_disk),
         }
 
 
@@ -124,11 +121,14 @@ class FleetLedger:
 
     def apply(self, header: Dict, payload: bytes,
               via: Optional[str] = None,
-              now: Optional[float] = None
+              now: Optional[float] = None,
+              records: Optional[List[Tuple[DiskKey, bytes]]] = None
               ) -> Tuple[bool, Optional[float]]:
         """Merge one snapshot; returns ``(applied, staleness_seconds)``.
 
-        A ``(host, epoch)`` already recorded is a duplicate: counted,
+        ``records`` are the snapshot's ``(disk key, record)`` pairs when
+        the caller has already sliced them out of ``payload``.  A
+        ``(host, epoch)`` already recorded is a duplicate: counted,
         not merged, ``(False, None)``.  Staleness is measured against
         the header's ``sealed_unix`` when present; when ``now`` is not
         supplied it is derived from the ledger's monotonic-anchored
@@ -139,24 +139,15 @@ class FleetLedger:
         epoch = header["epoch"]
         state = self.hosts.get(host)
         if state is None:
-            state = self.hosts[host] = HostState()
+            state = self.hosts[host] = HostState(self.compact_at)
         if state.seen(epoch):
             self.duplicates_total += 1
             return False, None
         state.mark(epoch)
-        view = memoryview(payload)
-        for extent in header["disks"]:
-            key = (extent["vm"], extent["vdisk"])
-            record = bytes(view[extent["off"]:extent["off"] + extent["len"]])
-            bucket = state.payloads.setdefault(key, [])
-            bucket.append(record)
-            if len(bucket) > self.compact_at:
-                # Exact: the merge is associative, so folding the list
-                # into one record now and merging more records later
-                # equals merging everything at once.
-                folded = collector_to_bytes(merge_collector_payloads(bucket))
-                bucket.clear()
-                bucket.append(folded)
+        if records is None:
+            records = snapshot_extents(header, payload)
+        for key, record in records:
+            state.pile.add(key, record)
         records = int(header.get("records", 0))
         state.records += records
         state.epochs_applied += 1
@@ -182,34 +173,24 @@ class FleetLedger:
     def global_pairs(self) -> List[Tuple[DiskKey, VscsiStatsCollector]]:
         """Fleet-wide ``((vm, vdisk), collector)`` pairs, exactly merged
         across every host (one vectorized reduce per disk)."""
-        per_disk: Dict[DiskKey, List[bytes]] = {}
-        for state in self.hosts.values():
-            for key, records in state.payloads.items():
-                per_disk.setdefault(key, []).extend(records)
-        return [(key, merge_collector_payloads(records))
-                for key, records in sorted(per_disk.items())]
+        return merge_records(pair for state in self.hosts.values()
+                             for pair in state.pile.items())
 
     def host_collector(self, host: str) -> Optional[VscsiStatsCollector]:
         """One host's aggregate across its disks (the fleet analogue of
         ``HistogramService.aggregate``)."""
         state = self.hosts.get(host)
-        if state is None:
+        if state is None or not state.pile.by_disk:
             return None
-        records = [record for bucket in state.payloads.values()
-                   for record in bucket]
-        if not records:
-            return None
-        return merge_collector_payloads(records)
+        ((_host, collector),) = merge_records(
+            (host, record) for _key, record in state.pile.items())
+        return collector
 
     def tenant_pairs(self) -> List[Tuple[str, VscsiStatsCollector]]:
         """Per-tenant (= per-VM) aggregates across every host and
         vdisk."""
-        per_vm: Dict[str, List[bytes]] = {}
-        for state in self.hosts.values():
-            for (vm, _vdisk), records in state.payloads.items():
-                per_vm.setdefault(vm, []).extend(records)
-        return [(vm, merge_collector_payloads(records))
-                for vm, records in sorted(per_vm.items())]
+        return merge_records((vm, record) for state in self.hosts.values()
+                             for (vm, _vdisk), record in state.pile.items())
 
     # ------------------------------------------------------------------
     # Staleness

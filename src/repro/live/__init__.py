@@ -18,7 +18,7 @@ from .client import (
     LiveError,
     LiveStatsClient,
 )
-from .cluster import ClusterServer, HashRing, SnapshotLedger, WorkerRouter
+from .cluster import ClusterServer, HashRing, WorkerRouter
 from .epochs import Epoch, EpochLedger
 from .exposition import render_openmetrics
 from .protocol import ProtocolError
@@ -40,7 +40,6 @@ __all__ = [
     "DEFAULT_RETRIES",
     "DiskStream",
     "HashRing",
-    "SnapshotLedger",
     "WorkerRouter",
     "Epoch",
     "EpochLedger",

@@ -36,10 +36,11 @@ Topology::
   and push the sealed snapshot down a private pipe as the fleet's own
   ``SNAPSHOT`` frame — per-disk ``RPHCOL2`` collector records behind a
   JSON extent header, on the worker's ``worker-<i>`` session.  The
-  coordinator merges rounds of snapshots with the vectorized v2
-  payload merge (:func:`repro.store.codec.merge_collector_payloads`),
-  seals them into its own :class:`~repro.live.epochs.EpochLedger`, and
-  alone owns the durable store writer and the exposition.
+  coordinator merges each round's records per disk
+  (:func:`merge_snapshots`, one vectorized reduce per disk), seals the
+  result into its own :class:`~repro.live.epochs.EpochLedger` — the
+  daemon's ledger — and alone owns the durable store writer and the
+  exposition.
 * The live (unsealed) epoch crosses the same pipes in the same
   format: a scrape (``snapshot``, ``metrics``) asks every worker for
   its live epoch (``worker-current``), each answers with a snapshot
@@ -75,12 +76,11 @@ import zlib
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from ..core.collector import DEFAULT_TIME_SLOT_NS
+from ..core.collector import DEFAULT_TIME_SLOT_NS, VscsiStatsCollector
 from ..core.service import DiskKey, HistogramService
 from ..core.window import DEFAULT_WINDOW_SIZE
 from ..faults import activate_from_env, fire
-from ..store.codec import merge_collector_payloads
-from .epochs import Epoch, EpochLedger
+from .epochs import Epoch, EpochLedger, merge_records
 from .exposition import render_openmetrics
 from .protocol import (
     FRAME_CONTROL,
@@ -92,7 +92,6 @@ from .protocol import (
     pack_frame,
     pack_ok,
     pack_snapshot,
-    pack_text,
     read_frame_view,
     snapshot_extents,
     unpack_control,
@@ -104,6 +103,7 @@ from .server import (
     build_analyzer,
     close_store,
     fire_on_seal,
+    history_op,
     online_info,
     online_metrics,
     open_store,
@@ -124,8 +124,8 @@ from .session import (
 __all__ = [
     "ClusterServer",
     "HashRing",
-    "SnapshotLedger",
     "WorkerRouter",
+    "merge_snapshots",
 ]
 
 #: Virtual nodes per worker on the hash ring.  Enough that removing a
@@ -140,15 +140,13 @@ _RPC_TIMEOUT = 30.0     #: a relayed control op's round-trip timeout
 _now = time.monotonic
 
 
-def _records_by_disk(snapshots) -> Dict[DiskKey, List[bytes]]:
-    """Per-disk records of ``(header, payload)`` snapshots (usually
-    one per disk; several when a reassignment made two workers see the
-    same disk in one round — the merge is exact either way)."""
-    by_disk: Dict[DiskKey, List[bytes]] = {}
-    for header, payload in snapshots:
-        for key, record in snapshot_extents(header, payload):
-            by_disk.setdefault(key, []).append(record)
-    return by_disk
+def merge_snapshots(snapshots) -> List[Tuple[DiskKey, VscsiStatsCollector]]:
+    """Per-disk exact merge of ``(header, payload)`` fan-in snapshots
+    (usually one record per disk; several when a reassignment made two
+    workers see the same disk in one round — the merge is exact either
+    way)."""
+    return merge_records(pair for header, payload in snapshots
+                         for pair in snapshot_extents(header, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -231,89 +229,6 @@ class WorkerRouter:
                             for index, (host, port)
                             in sorted(self._table.items())],
             }
-
-
-# ---------------------------------------------------------------------------
-# Coordinator-side snapshot history
-# ---------------------------------------------------------------------------
-class SnapshotLedger:
-    """Epoch history built from worker ``SNAPSHOT`` frames.
-
-    Wraps an :class:`EpochLedger` (store persistence, quarantine,
-    retirement, span bookkeeping) and keeps the raw per-disk
-    ``RPHCOL2`` payloads alongside each sealed epoch, so the lifetime
-    merge is a single vectorized
-    :func:`~repro.store.codec.merge_collector_payloads` column-stack
-    reduce per disk instead of a Python histogram-merge chain per
-    epoch.
-    """
-
-    def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE,
-                 time_slot_ns: int = DEFAULT_TIME_SLOT_NS,
-                 max_epochs: Optional[int] = None, store=None):
-        self.window_size = window_size
-        self.time_slot_ns = time_slot_ns
-        self.ledger = EpochLedger(window_size=window_size,
-                                  time_slot_ns=time_slot_ns,
-                                  max_epochs=max_epochs, store=store)
-        #: Parallel to ``ledger.epochs``: per sealed epoch, the raw
-        #: collector records by disk.
-        self._epoch_payloads: List[Dict[DiskKey, List[bytes]]] = []
-
-    def seal_round(self, snapshots) -> Epoch:
-        """Seal one cluster epoch from ``(header, payload)`` snapshots.
-
-        Slices each worker's payload into per-disk records via the
-        header extents, merges them vectorized, and seals the result
-        into the wrapped ledger (which persists to the store and
-        advances the epoch clock).
-        """
-        by_disk = _records_by_disk(snapshots)
-        pairs = [(key, merge_collector_payloads(records))
-                 for key, records in by_disk.items()]
-        epoch = self.ledger.seal(pairs)
-        self._epoch_payloads.append(by_disk)
-        # Mirror the ledger's max_epochs retirement: the retired
-        # aggregate (already merged, bins not payloads) takes over for
-        # anything the ledger no longer retains individually.
-        while len(self._epoch_payloads) > len(self.ledger.epochs):
-            self._epoch_payloads.pop(0)
-        return epoch
-
-    def history(self) -> Tuple[HistogramService,
-                               List[Dict[DiskKey, List[bytes]]]]:
-        """``(retired aggregate, per-epoch payloads by disk)``.
-
-        Neither is mutated once sealed (retirement replaces the
-        aggregate), so a caller may capture this under the lock that
-        serializes rounds and fold it with :meth:`merged_history`
-        after releasing that lock.
-        """
-        return self.ledger.retired, list(self._epoch_payloads)
-
-    def merged_history(self, history=None) -> HistogramService:
-        """Lifetime merge of ``history`` (default: every sealed epoch
-        now), vectorized.
-
-        One column-stack reduce per disk across all retained epochs'
-        raw payloads, plus the ledger's retired aggregate — exact and
-        byte-identical to folding the epochs one by one.
-        """
-        retired, epoch_payloads = (self.history() if history is None
-                                   else history)
-        service = HistogramService(window_size=self.window_size,
-                                   time_slot_ns=self.time_slot_ns)
-        service = service.merge(retired)
-        per_disk: Dict[DiskKey, List[bytes]] = {}
-        for epoch_map in epoch_payloads:
-            for key, records in epoch_map.items():
-                per_disk.setdefault(key, []).extend(records)
-        for key, records in per_disk.items():
-            service.adopt(key, merge_collector_payloads(records))
-        return service
-
-    def __len__(self) -> int:
-        return len(self.ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +417,6 @@ class ClusterServer:
                  window_size: int = DEFAULT_WINDOW_SIZE,
                  time_slot_ns: int = DEFAULT_TIME_SLOT_NS,
                  rotate_every: Optional[float] = None,
-                 max_epochs: Optional[int] = None,
                  start_enabled: bool = True,
                  store=None,
                  force_fd_passing: bool = False,
@@ -524,8 +438,6 @@ class ClusterServer:
         self.ring_replicas = ring_replicas
         self._rotation = (RotationTimer(rotate_every, self.rotate)
                           if rotate_every else None)
-        self.window_size = window_size
-        self.time_slot_ns = time_slot_ns
         self.frame_server = FrameServer(
             {FRAME_CONTROL: self._handle_control}, idle_timeout,
             "live-cluster-control")
@@ -540,10 +452,9 @@ class ClusterServer:
         }
 
         self.store, self._owns_store = open_store(store)
-        self.snapshots = SnapshotLedger(window_size=window_size,
-                                        time_slot_ns=time_slot_ns,
-                                        max_epochs=max_epochs,
-                                        store=self.store)
+        self.ledger = EpochLedger(window_size=window_size,
+                                  time_slot_ns=time_slot_ns,
+                                  store=self.store)
 
         #: Called with each sealed merged :class:`Epoch` (rotation and
         #: drain-on-close) — the fleet tier's uplink attach point,
@@ -753,8 +664,8 @@ class ClusterServer:
                         while queue:
                             leftovers.append(queue.popleft())
                 if leftovers:
-                    fire_on_seal(self, self.on_seal,
-                                 self.snapshots.seal_round(leftovers))
+                    fire_on_seal(self, self.on_seal, self.ledger.seal(
+                        merge_snapshots(leftovers)))
             for sock in self._fdpass_socks.values():
                 try:
                     sock.close()
@@ -767,8 +678,7 @@ class ClusterServer:
                     pass
                 self._reserve = None
             if self.store is not None and self._owns_store:
-                close_store(self.store,
-                            self.snapshots.ledger.note_store_failure)
+                close_store(self.store, self.ledger.note_store_failure)
 
     # ------------------------------------------------------------------
     # Fan-in / worker liveness
@@ -882,7 +792,7 @@ class ClusterServer:
                 except (OSError, ValueError, LiveError, ProtocolError):
                     pass  # died before sealing; handled below
             snapshots = self._collect(self._inbox, [i for i, _ in targets])
-            epoch = self.snapshots.seal_round(snapshots)
+            epoch = self.ledger.seal(merge_snapshots(snapshots))
             fire_on_seal(self, self.on_seal, epoch)
             return epoch
 
@@ -918,64 +828,46 @@ class ClusterServer:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _live_snapshots(self) -> List[Tuple[Dict, bytes]]:
-        """Every alive worker's live (unsealed) epoch as fan-in
-        snapshots.  Call under ``_control_lock``, so the scrape sees no
-        rotation half done and no other scrape's answers."""
-        self._scrapes += 1
-        answered = self._broadcast({"op": "worker-current",
-                                    "scrape": self._scrapes})
-        return self._collect(self._live_inbox, answered,
-                             scrape=self._scrapes)
-
-    @staticmethod
-    def _adopt_live(service: HistogramService,
-                    snapshots) -> HistogramService:
-        """Merge live-epoch ``snapshots`` per disk into ``service``."""
-        for key, records in _records_by_disk(snapshots).items():
-            service.adopt(key, merge_collector_payloads(records))
-        return service
+    def _capture(self):
+        """The sealed history and every alive worker's live (unsealed)
+        epoch, taken in one hold of the control lock — so the scrape
+        sees no rotation half done and no other scrape's answers — and
+        merged after it is released, so a scrape delays a rotation only
+        by its worker round."""
+        with self._control_lock:
+            history = self.ledger.history()
+            self._scrapes += 1
+            answered = self._broadcast({"op": "worker-current",
+                                        "scrape": self._scrapes})
+            live = self._collect(self._live_inbox, answered,
+                                 scrape=self._scrapes)
+        return history, merge_snapshots(live)
 
     def merged_service(self) -> HistogramService:
         """Lifetime merge: sealed history plus every worker's live
         epoch — the cluster analogue of
-        :meth:`LiveStatsServer.merged_service`.  Both are captured in
-        one hold of the control lock and merged after it is released,
-        so a scrape delays a rotation only by its worker round."""
-        with self._control_lock:
-            history = self.snapshots.history()
-            live = self._live_snapshots()
-        return self._adopt_live(self.snapshots.merged_history(history),
-                                live)
+        :meth:`LiveStatsServer.merged_service`."""
+        return self.ledger.merged(*self._capture())
 
     def snapshot_dict(self, scope: str = "all",
                       epoch: Optional[int] = None,
                       aggregate: bool = False) -> Dict:
         """JSON-ready snapshot document, same shape as the
         single-process server's (:func:`snapshot_document`)."""
-        return snapshot_document(self.snapshots.ledger, scope, epoch,
-                                 aggregate, self._current_service,
-                                 self.merged_service)
-
-    def _current_service(self) -> HistogramService:
-        with self._control_lock:
-            live = self._live_snapshots()
-        return self._adopt_live(HistogramService(
-            window_size=self.window_size,
-            time_slot_ns=self.time_slot_ns), live)
+        return snapshot_document(self.ledger, scope, epoch, aggregate,
+                                 self._capture)
 
     def openmetrics(self) -> str:
         """Canonical exposition: the lifetime merge plus summed worker
         counters and cluster liveness gauges."""
         service = self.merged_service()
         infos = self._broadcast({"op": "worker-info"})
-        ledger = self.snapshots.ledger
 
         def total(field: str) -> int:
             return sum(info.get(field, 0) for info in infos.values())
 
         daemon = {
-            "epochs_sealed_total": len(ledger),
+            "epochs_sealed_total": len(self.ledger),
             "ingest_frames_total": total("frames_total"),
             "ingest_records_total": total("records_total"),
             "ignored_records_total": total("ignored_records_total"),
@@ -983,8 +875,8 @@ class ClusterServer:
             "rejected_frames_total": total("rejected_frames_total"),
             "duplicate_frames_total": total("duplicate_frames_total"),
             "redirected_frames_total": total("redirected_frames_total"),
-            "persist_failures_total": len(ledger.persist_errors),
-            "degraded": 1 if ledger.degraded else 0,
+            "persist_failures_total": len(self.ledger.persist_errors),
+            "degraded": 1 if self.ledger.degraded else 0,
             "connections_open": total("connections_open"),
             "connections_total": total("connections_total"),
             "cluster_workers": self.workers,
@@ -1011,7 +903,6 @@ class ClusterServer:
                 "workers": table}
 
     def info(self) -> Dict:
-        ledger = self.snapshots.ledger
         workers = self._broadcast({"op": "worker-info"})
         now = time.monotonic()
         with self._inbox_cond:
@@ -1037,15 +928,14 @@ class ClusterServer:
                 for i in workers
             },
             "route_generation": self._generation,
-            "epochs_sealed": len(ledger),
-            "epoch_records": ledger.records,
-            "degraded": ledger.degraded,
+            "epochs_sealed": len(self.ledger),
+            "epoch_records": self.ledger.records,
+            "degraded": self.ledger.degraded,
             "online": online_info(self),
-            "persist_errors": list(ledger.persist_errors),
+            "persist_errors": list(self.ledger.persist_errors),
             "worker_info": {str(i): doc for i, doc in workers.items()},
         }
-        info["ledger"] = ledger.to_dict()
-        info["ledger"].pop("retained", None)
+        info["ledger"] = self.ledger.to_dict()
         if self.store is not None:
             info["store"] = store_info(self.store, self._owns_store)
         return info
@@ -1073,21 +963,6 @@ class ClusterServer:
             return pack_ok({"pong": True, "version": 1, "cluster": True,
                             "workers": self.workers,
                             "workers_alive": len(self._alive)})
-        if name == "rotate":
-            epoch = self.rotate()
-            return pack_ok({"epoch": epoch.index,
-                            "records": epoch.records,
-                            "disks": len(list(
-                                epoch.service.collectors()))})
-        if name == "snapshot":
-            return pack_ok(self.snapshot_dict(
-                scope=op.get("scope", "all"),
-                epoch=op.get("epoch"),
-                aggregate=bool(op.get("aggregate", False))))
-        if name == "metrics":
-            return pack_text(self.openmetrics())
-        if name == "info":
-            return pack_ok(self.info())
         if name == "route":
             return pack_ok(self.route_info())
         if name == "enable":
@@ -1096,9 +971,7 @@ class ClusterServer:
         if name == "disable":
             self.disable(op.get("vm"), op.get("vdisk"))
             return pack_ok({"enabled": False})
-        if name == "verdicts":
-            return pack_ok(self.verdicts_dict())
-        raise ProtocolError(f"unknown control op {name!r}")
+        return history_op(self, op)
 
     # ------------------------------------------------------------------
     # fd-passing fallback data path

@@ -469,14 +469,15 @@ def _validate_header(header: Dict, body_len: int) -> None:
 
 
 def encode_host_snapshot(host: str, epoch) -> Tuple[Dict, bytes]:
-    """Encode one sealed :class:`~repro.live.epochs.Epoch` for ``host``.
+    """The ``SNAPSHOT`` header and payload of one sealed
+    :class:`~repro.live.epochs.Epoch` for ``host``.
 
-    Each disk's collector becomes one ``RPHCOL2`` record and an extent
-    entry (:func:`encode_extents`).  ``sealed_unix`` rides along so
-    every aggregator up the tree can measure snapshot staleness against
-    its own clock.
+    The payload is the epoch's own records (encoded once, at seal); the
+    header wraps its extents.  ``sealed_unix`` rides along so every
+    aggregator up the tree can measure snapshot staleness against its
+    own clock.
     """
-    disks, payload = encode_extents(epoch.service.collectors())
+    payload = epoch.payload
     header = {
         "host": host,
         "epoch": epoch.index,
@@ -484,7 +485,7 @@ def encode_host_snapshot(host: str, epoch) -> Tuple[Dict, bytes]:
         "start_ns": epoch.start_ns,
         "end_ns": epoch.end_ns,
         "sealed_unix": epoch.sealed_unix,
-        "disks": disks,
+        "disks": epoch.disks,
     }
     if 23 + len(payload) > MAX_FRAME_BYTES:  # pragma: no cover - huge hosts
         raise ProtocolError(

@@ -29,11 +29,12 @@ control), ``backpressure="drop"`` sheds the batch and counts the
 dropped records, surfaced in ``info`` and the exposition.
 
 ``rotate()`` seals the current epoch **atomically**: every worker is
-parked at a barrier, each disk's collector is handed to the epoch
-ledger and replaced by a lazily-created continuation collector
-(:mod:`repro.live.stream`), then the workers resume.  Sealing is O(m)
-per disk — bins, not commands — so rotation stalls ingestion for
-microseconds to milliseconds regardless of traffic.
+parked at a barrier, each disk's collector is taken out and replaced
+by a lazily-created continuation collector (:mod:`repro.live.stream`),
+then the workers resume and the epoch ledger encodes and persists the
+taken collectors.  The swap is O(m) per disk — bins, not commands —
+so rotation stalls ingestion for microseconds to milliseconds
+regardless of traffic, and never for the store's fsync.
 
 Shutdown drains: pending queue items are processed, then the partial
 epoch is flushed into the ledger so no acked command is ever lost.
@@ -203,14 +204,15 @@ def verdicts_doc(server) -> Dict:
 
 def snapshot_document(ledger: EpochLedger, scope: str,
                       epoch: Optional[int], aggregate: bool,
-                      current, merged) -> Dict:
+                      capture) -> Dict:
     """The ``snapshot`` control op's document over an epoch ledger.
 
-    ``scope="current"`` — the live (unsealed) epoch only, the service
-    ``current()`` returns; ``scope="epoch"`` — one sealed epoch (by
-    index, default last); ``scope="all"`` — exact merge of every epoch
-    plus the live one, ``merged()``.  ``aggregate=True`` adds a
-    host-wide merge across disks.
+    ``scope="current"`` — the live (unsealed) epoch only;
+    ``scope="epoch"`` — one sealed epoch (by index, default last);
+    ``scope="all"`` — exact merge of every epoch plus the live one.
+    ``capture()`` returns the ledger's history and the live
+    ``(key, collector)`` pairs, taken together.  ``aggregate=True``
+    adds a host-wide merge across disks.
     """
     if scope == "epoch":
         if not len(ledger) and epoch is None:
@@ -226,10 +228,10 @@ def snapshot_document(ledger: EpochLedger, scope: str,
         meta: Dict = {"scope": "epoch", "epoch": target.index,
                       "records": target.records}
     elif scope == "current":
-        service = current()
+        service = ledger.service_of(capture()[1])
         meta = {"scope": "current", "epoch": len(ledger)}
     elif scope == "all":
-        service = merged()
+        service = ledger.merged(*capture())
         meta = {"scope": "all", "epochs": len(ledger)}
     else:
         raise ProtocolError(f"unknown snapshot scope {scope!r}")
@@ -238,6 +240,29 @@ def snapshot_document(ledger: EpochLedger, scope: str,
     if aggregate:
         meta["aggregate"] = service.aggregate().to_dict()
     return meta
+
+
+def history_op(server, op: Dict) -> bytes:
+    """The control ops the daemon and the cluster coordinator answer
+    alike — rotation and the reads of their epoch ledger."""
+    name = op["op"]
+    if name == "rotate":
+        epoch = server.rotate()
+        return pack_ok({"epoch": epoch.index,
+                        "records": epoch.records,
+                        "disks": len(epoch.disks)})
+    if name == "snapshot":
+        return pack_ok(server.snapshot_dict(
+            scope=op.get("scope", "all"),
+            epoch=op.get("epoch"),
+            aggregate=bool(op.get("aggregate", False))))
+    if name == "metrics":
+        return pack_text(server.openmetrics())
+    if name == "info":
+        return pack_ok(server.info())
+    if name == "verdicts":
+        return pack_ok(server.verdicts_dict())
+    raise ProtocolError(f"unknown control op {name!r}")
 
 
 class RotationTimer:
@@ -368,8 +393,8 @@ class LiveStatsServer:
     rotate_every:
         Optional period in seconds for automatic epoch rotation.
     max_epochs:
-        Sealed epochs to retain individually (older ones fold into a
-        retired aggregate, keeping lifetime totals exact).
+        Sealed epochs to retain individually (older ones fold their
+        records into the retired pile, keeping lifetime totals exact).
     start_enabled:
         The daemon's reason to exist is ingestion, so unlike the
         in-hypervisor service it starts enabled; pass ``False`` to
@@ -492,7 +517,7 @@ class LiveStatsServer:
         self._started = False
         self._closed = False
 
-        # Reentrant: merged_service holds it across live_pairs.
+        # Reentrant: _capture holds it across live_pairs.
         self._control_lock = threading.RLock()
         self._stats_lock = threading.Lock()
         self._sessions = SessionTable("hello")
@@ -675,30 +700,13 @@ class LiveStatsServer:
                 return pack_ok(self.router.route_info())
             return pack_ok({"workers": [list(self.address)],
                             "generation": 0})
-        if name == "rotate":
-            epoch = self.rotate()
-            return pack_ok({"epoch": epoch.index,
-                            "records": epoch.records,
-                            "disks": len(list(epoch.service.collectors()))})
-        if name == "snapshot":
-            return pack_ok(self.snapshot_dict(
-                scope=op.get("scope", "all"),
-                epoch=op.get("epoch"),
-                aggregate=bool(op.get("aggregate", False)),
-            ))
         if name == "enable":
             self._gate.enable(op.get("vm"), op.get("vdisk"))
             return pack_ok({"enabled": True})
         if name == "disable":
             self._gate.disable(op.get("vm"), op.get("vdisk"))
             return pack_ok({"enabled": False})
-        if name == "metrics":
-            return pack_text(self.openmetrics())
-        if name == "info":
-            return pack_ok(self.info())
-        if name == "verdicts":
-            return pack_ok(self.verdicts_dict())
-        raise ProtocolError(f"unknown control op {name!r}")
+        return history_op(self, op)
 
     # ------------------------------------------------------------------
     # Atomic swap machinery
@@ -732,9 +740,9 @@ class LiveStatsServer:
     def rotate(self) -> Epoch:
         """Seal the current epoch and swap in continuation collectors.
 
-        Workers are parked at a barrier for the O(bins) swap, so
+        Workers are parked at a barrier for the O(bins) swap only, so
         clients querying sealed epochs never see a torn snapshot and
-        ingestion resumes immediately after.
+        ingestion resumes before the epoch is encoded and persisted.
         """
         with self._control_lock:
             if self._closed:
@@ -745,9 +753,9 @@ class LiveStatsServer:
             barriers = self._pause_workers()
             try:
                 pairs = self._seal_all_streams()
-                epoch = self.ledger.seal(pairs)
             finally:
                 self._resume_workers(barriers)
+            epoch = self.ledger.seal(pairs)
             fire_on_seal(self, self._on_seal, epoch)
             return epoch
 
@@ -773,30 +781,20 @@ class LiveStatsServer:
                       aggregate: bool = False) -> Dict:
         """JSON-ready snapshot document (:func:`snapshot_document`)."""
         return snapshot_document(self.ledger, scope, epoch, aggregate,
-                                 self._current_service, self.merged_service)
+                                 self._capture)
 
-    def _current_service(self) -> HistogramService:
-        service = HistogramService(window_size=self.window_size,
-                                   time_slot_ns=self.time_slot_ns)
-        for key, collector in self.live_pairs():
-            service.adopt(key, collector)
-        return service
+    def _capture(self):
+        """The sealed history and a copy of the live epoch, taken in one
+        hold of the control lock, so no rotation seals the copied
+        collectors into the history in between; the merge runs after
+        the lock is released, so a scrape delays a rotation only by the
+        copy."""
+        with self._control_lock:
+            return self.ledger.history(), self.live_pairs()
 
     def merged_service(self) -> HistogramService:
-        """Lifetime merge: every sealed epoch plus the live one.
-
-        The live copy and the sealed history are captured in one hold
-        of the control lock, so no rotation seals the copied collectors
-        into the history in between; the fold runs after the lock is
-        released, so a scrape delays a rotation only by the copy.
-        """
-        with self._control_lock:
-            pairs = self.live_pairs()
-            history = self.ledger.history()
-        service = self.ledger.merged(history)
-        for key, collector in pairs:
-            service.adopt(key, collector)
-        return service
+        """Lifetime merge: every sealed epoch plus the live one."""
+        return self.ledger.merged(*self._capture())
 
     def verdicts_dict(self) -> Dict:
         """Rolling online-analysis state (the ``verdicts`` control op)."""
@@ -854,9 +852,6 @@ class LiveStatsServer:
         if self.analyzer is not None:
             info["online"] = online_info(self)
         info["ledger"] = self.ledger.to_dict()
-        # Full per-epoch snapshots aren't operational data; keep the
-        # info document to metadata.
-        info["ledger"].pop("retained", None)
         if self.store is not None:
             info["store"] = store_info(self.store, self._owns_store)
         return info

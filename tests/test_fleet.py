@@ -37,6 +37,7 @@ from repro.fleet import (
     unpack_snapshot,
 )
 from repro.live import EpochLedger, LiveError, LiveStatsClient
+from repro.live.epochs import RecordPile
 from repro.live.protocol import (
     FRAME_ERROR,
     FRAME_OK,
@@ -224,12 +225,15 @@ class TestFleetLedger:
         assert _canon(got) == _canon(_expected_disks(union))
 
     def test_compaction_is_exact(self):
+        """Each host's records live in the shared record pile, whose
+        fold past ``compact_at`` is exact."""
         snapshots, union = _host_epochs("esx-a", 12, per_epoch=10)
         ledger = FleetLedger(compact_at=3)
         for header, payload in snapshots:
             ledger.apply(header, payload)
-        state = ledger.hosts["esx-a"]
-        (bucket,) = state.payloads.values()
+        pile = ledger.hosts["esx-a"].pile
+        assert isinstance(pile, RecordPile)
+        (bucket,) = pile.by_disk.values()
         assert len(bucket) <= 4  # compacted well below 12
         got = {f"{vm}/{vdisk}": collector.to_dict()
                for (vm, vdisk), collector in ledger.global_pairs()}

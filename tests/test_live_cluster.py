@@ -30,9 +30,9 @@ from repro.live import (
     LiveError,
     LiveStatsClient,
     LiveStatsServer,
-    SnapshotLedger,
     WorkerRouter,
 )
+from repro.live.cluster import merge_snapshots
 from repro.live.epochs import EpochLedger
 from repro.live.exposition import render_openmetrics
 from repro.live.protocol import (
@@ -257,7 +257,7 @@ class TestClusterPartitionProperty:
         # Cluster: the same streams partitioned by owning worker; each
         # round's seals travel as encoded fan-in snapshots.
         cl_streams = {key: DiskStream() for key in keys}
-        cl_ledger = SnapshotLedger()
+        cl_ledger = EpochLedger()
 
         for epoch_index, (start, stop) in enumerate(zip(bounds,
                                                         bounds[1:])):
@@ -297,10 +297,10 @@ class TestClusterPartitionProperty:
                 _session, _seq, rt_header, rt_payload = \
                     unpack_snapshot(body)
                 snapshots.append((rt_header, bytes(rt_payload)))
-            cl_ledger.seal_round(snapshots)
+            cl_ledger.seal(merge_snapshots(snapshots))
 
         reference = ref_ledger.merged()
-        merged = cl_ledger.merged_history()
+        merged = cl_ledger.merged()
         ref_disks = dict(reference.collectors())
         got_disks = dict(merged.collectors())
         assert set(got_disks) == set(ref_disks)
@@ -313,8 +313,8 @@ class TestClusterPartitionProperty:
     @settings(max_examples=15, deadline=None)
     @given(raw=record_lists, data=st.data())
     def test_retirement_keeps_lifetime_totals_exact(self, raw, data):
-        """max_epochs retirement folds old epochs into the retired
-        aggregate without losing a single command."""
+        """max_epochs retirement folds old epochs' records into the
+        retired pile without losing a single command."""
         records = _make_records(raw)
         n = len(records)
         max_epochs = data.draw(st.integers(1, 3), label="max_epochs")
@@ -325,7 +325,7 @@ class TestClusterPartitionProperty:
             label="cuts"))
         bounds = [0] + cuts + [n]
         stream = DiskStream()
-        ledger = SnapshotLedger(max_epochs=max_epochs)
+        ledger = EpochLedger(max_epochs=max_epochs)
         for epoch_index, (start, stop) in enumerate(zip(bounds,
                                                         bounds[1:])):
             chunk = records[start:stop]
@@ -334,9 +334,9 @@ class TestClusterPartitionProperty:
             sealed = stream.seal()
             pairs = [(("vm", "d"), sealed)] if sealed is not None else []
             disks, payload = encode_extents(pairs)
-            ledger.seal_round([({"disks": disks}, payload)])
+            ledger.seal(merge_snapshots([({"disks": disks}, payload)]))
         reference = replay_into_collector(records, VscsiStatsCollector())
-        merged = ledger.merged_history().collector("vm", "d")
+        merged = ledger.merged().collector("vm", "d")
         assert merged is not None
         assert _snapshot(merged) == _snapshot(reference)
 
@@ -531,7 +531,7 @@ class TestClusterEndToEnd:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 cluster.rotate()
-                assert cluster.snapshots.ledger.records == total
+                assert cluster.ledger.records == total
                 final = cluster.snapshot_dict(scope="all")["disks"]
         finally:
             sys.setswitchinterval(switch)

@@ -447,6 +447,91 @@ class TestEvictedSession:
         assert snap["disks"]["vm0/d0"] == offline.to_dict()
 
 
+class TestRotateSeal:
+    """What one rotation costs the data path and the codec."""
+
+    def test_ingest_resumes_before_the_seal_persists(self, tmp_path):
+        """The store's append blocks mid-rotation; a publish on another
+        connection is still acked, because the workers resume right
+        after the swap, before the epoch is encoded and persisted."""
+        from repro.store import HistogramStore
+
+        records = _records(600)
+        entered, release = threading.Event(), threading.Event()
+        with HistogramStore.create(tmp_path / "s") as store:
+            append_epoch = store.append_epoch
+
+            def blocking_append(*args, **kwargs):
+                entered.set()
+                release.wait(10.0)
+                return append_epoch(*args, **kwargs)
+
+            store.append_epoch = blocking_append
+            with LiveStatsServer(port=0, shards=2, store=store,
+                                 online=False) as srv:
+                with LiveStatsClient(*srv.address) as cli:
+                    cli.publish_columns("vm0", "d0",
+                                        records_to_columns(records[:300]))
+                rotation = threading.Thread(target=srv.rotate)
+                acked = threading.Event()
+
+                def publish():
+                    with LiveStatsClient(*srv.address) as cli:
+                        cli.publish_columns(
+                            "vm0", "d0", records_to_columns(records[300:]))
+                    acked.set()
+
+                publisher = threading.Thread(target=publish)
+                try:
+                    rotation.start()
+                    assert entered.wait(10.0)
+                    publisher.start()
+                    assert acked.wait(1.0)
+                finally:
+                    release.set()
+                    rotation.join(10.0)
+                    publisher.join(10.0)
+                srv.rotate()
+                snap = srv.snapshot_dict(scope="all")
+        offline = replay_columns(records_to_columns(records))
+        assert snap["disks"]["vm0/d0"] == offline.to_dict()
+
+    def test_one_encode_per_disk_per_seal(self, tmp_path, monkeypatch):
+        """A daemon with a store and an uplink-style ``on_seal`` encodes
+        each disk once per rotation: the store appends the records the
+        snapshot frame carries."""
+        import repro.live.epochs
+        import repro.live.protocol
+        import repro.store.store
+        from repro.live.protocol import encode_host_snapshot
+        from repro.store.codec import collector_to_bytes
+
+        calls = []
+
+        def counting(collector):
+            calls.append(1)
+            return collector_to_bytes(collector)
+
+        for module in (repro.live.epochs, repro.live.protocol,
+                       repro.store.store):
+            monkeypatch.setattr(module, "collector_to_bytes", counting)
+        shipped = []
+        with LiveStatsServer(
+                port=0, shards=2, store=tmp_path / "s", online=False,
+                on_seal=lambda epoch: shipped.append(
+                    encode_host_snapshot("host-0", epoch))) as srv:
+            with LiveStatsClient(*srv.address) as cli:
+                for i in range(3):
+                    cli.publish_columns(
+                        f"vm{i}", "d0", records_to_columns(
+                            _records(200, seed=40 + i)))
+            del calls[:]
+            srv.rotate()
+            assert len(shipped) == 1
+            assert len(shipped[0][0]["disks"]) == 3
+            assert len(calls) == 3
+
+
 class TestEnableDisable:
     def test_global_disable_ignores_traffic(self, server, client):
         client.disable()

@@ -8,7 +8,9 @@ stream would — same bins, same scalars, same time series.  Hypothesis
 drives the stream shapes and split points.
 """
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,10 @@ from repro.live.protocol import (
     ProtocolError,
     bytes_to_columns,
     columns_to_bytes,
+    encode_extents,
+    encode_host_snapshot,
 )
+from repro.live.server import snapshot_document
 from repro.live.stream import DiskStream
 from repro.parallel.trace_io import records_to_columns, replay_columns
 
@@ -204,3 +209,52 @@ class TestEpochLedger:
         merged = ledger.merged()
         merged.adopt(("vm2", "x"), VscsiStatsCollector())
         assert ledger.merged().collector("vm2", "x") is None
+
+    def test_retained_disk_epoch_costs_about_one_record(self):
+        """Sealed history is kept as encoded records, not collectors:
+        100 epochs x 4 disks of 500-command collectors retain under
+        2 KB per disk-epoch (one collector object is ~8 KB)."""
+        columns = records_to_columns(_make_records([
+            (i * 1000, 50_000 + i % 7 * 9_000, i * 64 % (1 << 20), 8,
+             i % 3 != 0) for i in range(500)
+        ]))
+        keys = [("vm", f"d{i}") for i in range(4)]
+        EpochLedger().seal([(keys[0], replay_columns(columns))])  # warm
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ledger = EpochLedger()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                ledger.seal([(key, replay_columns(columns)) for key in keys])
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert ledger.records == 100 * 4 * 500
+        assert retained / (100 * 4) < 2048
+
+    def test_epoch_is_its_encoded_records(self):
+        """Each disk is encoded once, at seal: the snapshot frame wraps
+        exactly those records, and an epoch that is no longer the last
+        decodes to the document it gave while it was."""
+        records = _make_records([
+            (i * 1000, 50_000, i * 64, 8, i % 2 == 0) for i in range(120)
+        ])
+        streams = {("vm", f"d{i}"): DiskStream() for i in range(3)}
+        ledger = EpochLedger()
+        documents = []
+        for lo in range(0, 120, 40):
+            pairs = []
+            for key, stream in streams.items():
+                stream.ingest(_columns(records[lo:lo + 40]))
+                pairs.append((key, stream.seal()))
+            epoch = ledger.seal(pairs)
+            header, payload = encode_host_snapshot("host-0", epoch)
+            assert (header["disks"], payload) \
+                == encode_extents(epoch.service.collectors()) \
+                == (epoch.disks, epoch.payload)
+            documents.append(snapshot_document(ledger, "epoch", None, True,
+                                               None))
+        assert [snapshot_document(ledger, "epoch", index, True, None)
+                for index in range(3)] == documents

@@ -32,7 +32,8 @@ from repro.core.tracing import TraceRecord, replay_into_collector
 from repro.faults import FaultPlan, inject
 from repro.live import LiveStatsClient, LiveStatsServer, render_openmetrics
 from repro.live.epochs import Epoch, EpochLedger
-from repro.live.protocol import bytes_to_columns, columns_to_bytes
+from repro.live.protocol import (bytes_to_columns, columns_to_bytes,
+                                 encode_extents)
 from repro.live.stream import DiskStream
 from repro.parallel.trace_io import records_to_columns, replay_columns
 from repro.store import HistogramStore
@@ -270,9 +271,9 @@ class TestIdleEpochs:
 
 class TestObserveEpochShapes:
     def test_accepts_epoch_object_and_uses_its_index(self):
-        service = HistogramService()
-        service.adopt(("vm", "d0"), _seq_read_collector())
-        epoch = Epoch(7, service, records=400, sealed_unix=1.0,
+        disks, payload = encode_extents([(("vm", "d0"),
+                                          _seq_read_collector())])
+        epoch = Epoch(7, disks, payload, records=400, sealed_unix=1.0,
                       span_ns=(0, 10**9))
         analyzer = _analyzer()
         [v] = analyzer.observe_epoch(epoch)
@@ -526,7 +527,7 @@ class TestFleetWiring:
         header = self._snapshot_header(record)
         applied, _ = agg.ledger.apply(header, record, via="s1")
         assert applied
-        agg._record(header, record)
+        agg._record(header, [(("vm", "d0"), record)])
         doc = agg.verdicts_dict()
         assert doc["online"] is True and doc["role"] == "root"
         assert "vm/d0" in doc["disks"]
@@ -537,8 +538,7 @@ class TestFleetWiring:
         from repro.fleet.aggregator import FleetAggregator
         agg = FleetAggregator(online=True)
         header = self._snapshot_header(b"garbage")
-        header["disks"][0]["len"] = 7
-        agg._record(header, b"garbage")
+        agg._record(header, [(("vm", "d0"), b"garbage")])
         assert agg.analysis_errors_total == 1
         assert agg.verdicts_dict()["analysis_errors_total"] == 1
 
