@@ -36,9 +36,9 @@ from .bins import (
     SEEK_DISTANCE_BINS,
     WRITE_AMP_PCT_BINS,
 )
-from .histogram import BATCH_CROSSOVER, Histogram
+from .histogram import BATCH_CROSSOVER, Histogram, _plain
 from .histogram2d import TimeSeriesHistogram
-from .window import DEFAULT_WINDOW_SIZE, LookBehindWindow
+from .window import DEFAULT_WINDOW_SIZE, SAFE_POSITION, LookBehindWindow
 
 __all__ = ["MetricFamily", "VscsiStatsCollector", "DEFAULT_TIME_SLOT_NS",
            "EXTENDED_FAMILIES"]
@@ -56,13 +56,6 @@ DEFAULT_TIME_SLOT_NS = 6_000_000_000
 #: Bytes per SCSI logical block (§3: "A logical block is a unit of
 #: space (512 bytes)").
 SECTOR_BYTES = 512
-
-
-def _plain(column):
-    """A batch column as Python scalars for the scalar hooks: an
-    ``np.int64`` folded into ``count``/``total``/``min``/``max`` would
-    wrap silently and break ``to_dict()``."""
-    return column.tolist() if isinstance(column, _np.ndarray) else column
 
 
 def _check_ignored_backend(backend: Optional[str]) -> None:
@@ -302,17 +295,17 @@ class VscsiStatsCollector:
         :data:`~repro.core.histogram.BATCH_CROSSOVER` commands compute
         seek distances, windowed minima and interarrival periods in
         single vectorized passes and feed the histogram batch kernel;
-        shorter runs, where array setup costs more than it saves, loop
-        the scalar hook itself.
+        shorter runs, where array setup costs more than it saves, and
+        runs whose values could wrap in int64 loop the scalar hook
+        itself.
         """
         _check_ignored_backend(backend)
         n = len(times_ns)
         if not (len(is_read) == len(lbas) == len(nblocks)
                 == len(outstanding) == n):
             raise ValueError("on_issue_batch columns must have equal lengths")
-        if n >= BATCH_CROSSOVER:
-            self._on_issue_batch_numpy(times_ns, is_read, lbas, nblocks,
-                                       outstanding)
+        if n >= BATCH_CROSSOVER and self._on_issue_batch_numpy(
+                times_ns, is_read, lbas, nblocks, outstanding):
             return
         on_issue = self.on_issue
         for row in zip(_plain(times_ns), _plain(is_read), _plain(lbas),
@@ -320,13 +313,21 @@ class VscsiStatsCollector:
             on_issue(*row)
 
     def _on_issue_batch_numpy(self, times_ns, is_read, lbas, nblocks,
-                              outstanding) -> None:
+                              outstanding) -> bool:
         """Vectorized kernel behind :meth:`on_issue_batch` — the same
-        state as an :meth:`on_issue` loop, for any ``n >= 1``."""
-        t = _np.asarray(times_ns, dtype=_np.int64)
-        lba_arr = _np.asarray(lbas, dtype=_np.int64)
-        nb_arr = _np.asarray(nblocks, dtype=_np.int64)
-        out_arr = _np.asarray(outstanding, dtype=_np.int64)
+        state as an :meth:`on_issue` loop, for any ``n >= 1``.  Returns
+        False, touching nothing, for a batch whose positions, times or
+        byte totals could wrap in int64 (see :meth:`_fits_int64`); the
+        caller then loops :meth:`on_issue`."""
+        try:
+            t = _np.asarray(times_ns, dtype=_np.int64)
+            lba_arr = _np.asarray(lbas, dtype=_np.int64)
+            nb_arr = _np.asarray(nblocks, dtype=_np.int64)
+            out_arr = _np.asarray(outstanding, dtype=_np.int64)
+        except OverflowError:
+            return False
+        if not self._fits_int64(t, lba_arr, nb_arr):
+            return False
         mask = _np.asarray(is_read, dtype=bool)
         inv = ~mask
         n = int(t.shape[0])
@@ -344,19 +345,8 @@ class VscsiStatsCollector:
             seek_mask = mask[1:]
         self._last_end_block = int(ends[-1])
 
-        # The windowed minimum is inherently sequential (and its
-        # tie-break rule is ring-order dependent), so it stays a Python
-        # loop even on the numpy path.
-        lba_list = lba_arr.tolist()
-        minima = self._window.observe_many(lba_list, ends.tolist())
-        if minima and minima[0] is None:
-            windowed = minima[1:]
-            windowed_flags = mask.tolist()[1:]
-        else:
-            windowed = minima
-            windowed_flags = mask.tolist()
-        read_windowed = [v for v, f in zip(windowed, windowed_flags) if f]
-        write_windowed = [v for v, f in zip(windowed, windowed_flags) if not f]
+        windowed, undefined = self._window.observe_block(lba_arr, ends)
+        windowed_mask = mask[1:] if undefined else mask
 
         inter = (t[1:] - t[:-1]) // 1_000
         if self._last_arrival_ns is not None:
@@ -372,7 +362,8 @@ class VscsiStatsCollector:
         self.io_length.insert_batch(lengths[mask], lengths[inv])
         self.outstanding.insert_batch(out_arr[mask], out_arr[inv])
         self.seek_distance.insert_batch(seeks[seek_mask], seeks[~seek_mask])
-        self.seek_distance_windowed.insert_batch(read_windowed, write_windowed)
+        self.seek_distance_windowed.insert_batch(windowed[windowed_mask],
+                                                 windowed[~windowed_mask])
         self.interarrival_us.insert_batch(inter[inter_mask], inter[~inter_mask])
         if self.outstanding_over_time is not None:
             self.outstanding_over_time.insert_many(t, out_arr)
@@ -386,6 +377,29 @@ class VscsiStatsCollector:
         if self.first_arrival_ns is None:
             self.first_arrival_ns = int(t[0])
         self.last_arrival_ns = int(t[-1])
+        return True
+
+    def _fits_int64(self, times, lbas, nblocks) -> bool:
+        """Whether the issue kernel's int64 arithmetic is exact for
+        these columns: every LBA, end block, carried end block and ring
+        entry inside ``±SAFE_POSITION`` (so seek distances and window
+        minima cannot wrap), every time and the carried arrival too
+        (interarrival gaps), and the batch's byte total below it."""
+        lba_lo, lba_hi = int(lbas.min()), int(lbas.max())
+        nb_lo, nb_hi = int(nblocks.min()), int(nblocks.max())
+        lo = min(lba_lo, lba_lo + nb_lo - 1)
+        hi = max(lba_hi, lba_hi + nb_hi - 1)
+        if self._last_end_block is not None:
+            lo = min(lo, self._last_end_block)
+            hi = max(hi, self._last_end_block)
+        t_lo, t_hi = int(times.min()), int(times.max())
+        if self._last_arrival_ns is not None:
+            t_lo = min(t_lo, self._last_arrival_ns)
+            t_hi = max(t_hi, self._last_arrival_ns)
+        return (self._window.block_safe(lo, hi)
+                and -SAFE_POSITION < t_lo and t_hi < SAFE_POSITION
+                and len(lbas) * max(-nb_lo, nb_hi) * SECTOR_BYTES
+                < SAFE_POSITION)
 
     def on_complete_batch(self, times_ns: Sequence[int],
                           is_read: Sequence[bool],

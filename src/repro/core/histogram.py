@@ -31,6 +31,13 @@ __all__ = ["Histogram", "BATCH_CROSSOVER"]
 BATCH_CROSSOVER = 32
 
 
+def _plain(column):
+    """A batch column as Python scalars for a scalar hook: an
+    ``np.int64`` folded into ``count``/``total``/``min``/``max`` would
+    wrap silently and break ``to_dict()``."""
+    return column.tolist() if isinstance(column, _np.ndarray) else column
+
+
 class Histogram:
     """A fixed-bin online histogram over integer-valued observations.
 
@@ -90,12 +97,8 @@ class Histogram:
             values = list(values)
         if len(values) >= BATCH_CROSSOVER and self._insert_many_numpy(values):
             return
-        if isinstance(values, _np.ndarray):
-            # Python-int semantics: an np.int64 folded into ``total``
-            # would wrap silently and break ``to_dict()``.
-            values = values.tolist()
         insert = self.insert
-        for value in values:
+        for value in _plain(values):
             insert(value)
 
     def _insert_many_numpy(self, values: Sequence[int]) -> bool:

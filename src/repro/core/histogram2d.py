@@ -20,10 +20,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as _np
+
 from .bins import BinScheme
-from .histogram import Histogram
+from .histogram import Histogram, _plain
 
 __all__ = ["TimeSeriesHistogram"]
+
+
+def _as_array(values) -> _np.ndarray:
+    """``values`` as an array that keeps every element exact: a list
+    numpy would widen to floats stays Python ints (object dtype)."""
+    if isinstance(values, _np.ndarray):
+        return values
+    arr = _np.asarray(values)
+    return arr if arr.dtype.kind in "iu" else _np.array(values, dtype=object)
 
 
 class TimeSeriesHistogram:
@@ -67,37 +78,47 @@ class TimeSeriesHistogram:
     def insert_many(self, times_ns, values) -> None:
         """Record a batch of ``(time, value)`` observations.
 
-        Values are grouped by time slot and handed to the slot
-        histogram's batch kernel; a batch that lands in a single slot
-        (the common case — collector batches are short relative to the
-        6-second intervals) pays one dict lookup total.
+        Slots are computed as one array; a batch that lands in a single
+        slot (the common case — collector batches are short relative
+        to the 6-second intervals) hands its values straight to that
+        slot histogram's batch kernel, and one that straddles slots is
+        grouped by a stable sort of its slots (completion times arrive
+        unsorted) and split where the slot changes.  A negative time
+        raises before any slot changes.  Times numpy cannot hold as
+        integers loop :meth:`insert`.
         """
         n = len(times_ns)
         if not n:
             return
-        if hasattr(values, "tolist"):  # numpy array: back to python ints
-            values = values.tolist()
-        if hasattr(times_ns, "tolist"):
-            times_ns = times_ns.tolist()
+        times = _np.asarray(times_ns)
+        exact = (times.dtype.kind == "i"
+                 or times.dtype.kind == "u" and times.dtype.itemsize <= 4)
+        lo = int(times.min()) if exact else min(_plain(times_ns))
+        if lo < 0:
+            raise ValueError(f"negative time {lo}")
+        if not exact:
+            for time_ns, value in zip(_plain(times_ns), _plain(values)):
+                self.insert(time_ns, value)
+            return
         interval = self.interval_ns
-        slots = [t // interval for t in times_ns]
-        lo_slot = min(slots)
-        if lo_slot < 0:
-            bad = min(times_ns)
-            raise ValueError(f"negative time {bad}")
-        hi_slot = max(slots)
+        lo_slot = lo // interval
+        hi_slot = int(times.max()) // interval
         if lo_slot == hi_slot:
             self._slot_histogram(lo_slot).insert_many(values)
         else:
-            grouped: Dict[int, List[int]] = {}
-            for slot, value in zip(slots, values):
-                bucket = grouped.get(slot)
-                if bucket is None:
-                    grouped[slot] = [value]
-                else:
-                    bucket.append(value)
-            for slot, bucket in grouped.items():
-                self._slot_histogram(slot).insert_many(bucket)
+            slots = times // interval
+            order = _np.argsort(slots, kind="stable")
+            ordered = slots[order]
+            starts = _np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+            cuts = _np.concatenate([[0], starts, [n]]).tolist()
+            picked = _as_array(values)[order]
+            # Slots open in order of first appearance, as a scalar
+            # loop opens them.
+            groups = sorted(range(len(cuts) - 1),
+                            key=lambda g: int(order[cuts[g]]))
+            for g in groups:
+                self._slot_histogram(int(ordered[cuts[g]])).insert_many(
+                    picked[cuts[g]:cuts[g + 1]])
         if hi_slot > self._max_slot:
             self._max_slot = hi_slot
 

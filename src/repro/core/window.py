@@ -11,13 +11,23 @@ preserved).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["LookBehindWindow", "DEFAULT_WINDOW_SIZE"]
+import numpy as _np
+
+__all__ = ["LookBehindWindow", "DEFAULT_WINDOW_SIZE", "SAFE_POSITION"]
 
 #: The paper's default look-behind depth.
 DEFAULT_WINDOW_SIZE = 16
+
+#: Magnitude bound of the batch kernel's positions: inside it, every
+#: int64 difference of two positions is exact.
+SAFE_POSITION = 1 << 62
+
+#: Rows per block of :meth:`LookBehindWindow.observe_block`; its
+#: transient arrays hold ``BLOCK_ROWS x size`` entries whatever the
+#: batch length.
+BLOCK_ROWS = 4096
 
 
 class LookBehindWindow:
@@ -77,60 +87,94 @@ class LookBehindWindow:
                      last_blocks: Sequence[int]) -> List[Optional[int]]:
         """Batch :meth:`observe`: one result per input command.
 
-        Produces exactly the same distances and final ring state as a
-        scalar :meth:`observe` loop, but queries a sorted mirror of the
-        window so each command costs one bisect plus a neighbor
-        comparison instead of an N-entry scan.  Only the very first
-        result can be ``None`` (empty window); ties in absolute
-        distance fall back to the scalar ring-order scan rule.
+        A list-in/list-out wrapper over :meth:`observe_block`, with the
+        same distances and final ring state as a scalar :meth:`observe`
+        loop.  Positions outside :meth:`block_safe`'s range loop
+        :meth:`observe` itself.
         """
+        try:
+            first = _np.asarray(first_blocks, dtype=_np.int64)
+            last = _np.asarray(last_blocks, dtype=_np.int64)
+        except OverflowError:
+            first = last = None
+        if first is None or not len(first) or not self.block_safe(
+                min(int(first.min()), int(last.min())),
+                max(int(first.max()), int(last.max()))):
+            observe = self.observe
+            return [observe(fb, lb)
+                    for fb, lb in zip(first_blocks, last_blocks)]
+        minima, undefined = self.observe_block(first, last)
+        out: List[Optional[int]] = [None] if undefined else []
+        return out + minima.tolist()
+
+    def block_safe(self, lo: int, hi: int) -> bool:
+        """Whether :meth:`observe_block` is exact for a batch whose
+        positions all lie in ``[lo, hi]``: those and every remembered
+        position must stay inside ``±SAFE_POSITION``, so that no int64
+        difference can wrap."""
+        return (-SAFE_POSITION < lo and hi < SAFE_POSITION
+                and all(-SAFE_POSITION < v < SAFE_POSITION
+                        for v in self._ring[:self._filled]))
+
+    def observe_block(self, first, last) -> Tuple[_np.ndarray, bool]:
+        """Array kernel of :meth:`observe` over int64 columns.
+
+        Returns the signed minima and whether the first command met an
+        empty window (then it has no minimum and ``minima`` starts at
+        the second command), and leaves the ring exactly as a scalar
+        :meth:`observe` loop would.  Every position must satisfy
+        :meth:`block_safe`.
+
+        Once the window is full, command ``i`` sees the ``size``
+        positions before it in ``[ring in age order] + last``: a
+        sliding window, answered by ``argmin`` of the absolute
+        distance.  ``argmin`` picks the first minimum in *age* order,
+        the scalar scan the first in *ring-slot* order; the two differ
+        only where both ``+a`` and ``-a`` (``a > 0``) are in the
+        window, and those rows are re-answered in slot order.  The
+        commands that find the window not yet full (at most ``size``
+        in its lifetime) take :meth:`observe` itself.  Rows go in
+        blocks of :data:`BLOCK_ROWS`, bounding the transient arrays.
+        """
+        n = len(first)
         size = self.size
-        ring = self._ring
-        nxt = self._next
-        filled = self._filled
-        win = sorted(ring[:filled])
-        out: List[Optional[int]] = []
-        append = out.append
-        bl = bisect_left
-        ins = insort
-        for fb, e in zip(first_blocks, last_blocks):
-            if filled:
-                j = bl(win, fb)
-                if j == 0:
-                    best = fb - win[0]
-                elif j == filled:
-                    best = fb - win[filled - 1]
-                else:
-                    lo = win[j - 1]
-                    hi = win[j]
-                    dlo = fb - lo   # >= 0 by bisect invariant
-                    dhi = fb - hi   # <= 0
-                    if dlo < -dhi:
-                        best = dlo
-                    elif -dhi < dlo:
-                        best = dhi
-                    else:
-                        # Equidistant: the scalar scan keeps whichever
-                        # remembered position appears first in the ring.
-                        live = ring if filled == size else ring[:filled]
-                        best = dlo if live.index(lo) < live.index(hi) else dhi
-                append(best)
-                if filled == size:
-                    win.remove(ring[nxt])
-                else:
-                    filled += 1
-                ins(win, e)
-            else:
-                append(None)
-                filled = 1
-                win.append(e)
-            ring[nxt] = e
-            nxt += 1
-            if nxt == size:
-                nxt = 0
-        self._next = nxt
-        self._filled = filled
-        return out
+        minima = _np.empty(n, dtype=_np.int64)
+        undefined = n > 0 and self._filled == 0
+        head = min(n, size - self._filled)
+        for i in range(head):
+            d = self.observe(int(first[i]), int(last[i]))
+            minima[i] = 0 if d is None else d
+        rest = n - head
+        if rest:
+            nxt = self._next
+            ring = self._ring
+            line = _np.empty(size + rest, dtype=_np.int64)
+            line[:size] = ring[nxt:] + ring[:nxt]
+            line[size:] = last[head:]
+            # Row i of ``windows`` is line[i:i + size]: a strided view.
+            step = line.itemsize
+            windows = _np.ndarray((rest, size), _np.int64, line, 0,
+                                  (step, step))
+            ages = _np.arange(size)
+            for b0 in range(0, rest, BLOCK_ROWS):
+                b1 = min(rest, b0 + BLOCK_ROWS)
+                rows = _np.arange(b1 - b0)
+                dist = first[head + b0:head + b1, None] - windows[b0:b1]
+                mag = _np.abs(dist)
+                best = dist[rows, mag.argmin(axis=1)]
+                tie = _np.flatnonzero(
+                    (best != 0) & (dist == -best[:, None]).any(axis=1))
+                if tie.size:
+                    slots = (nxt + b0 + tie[:, None] + ages) % size
+                    near = mag[tie] == _np.abs(best[tie])[:, None]
+                    pick = _np.where(near, slots, size).argmin(axis=1)
+                    best[tie] = dist[tie, pick]
+                minima[head + b0:head + b1] = best
+            nxt = (nxt + rest) % size
+            newest = line[-size:].tolist()
+            self._ring = newest[size - nxt:] + newest[:size - nxt]
+            self._next = nxt
+        return (minima[1:] if undefined else minima), undefined
 
     def copy(self) -> "LookBehindWindow":
         """Independent copy with identical remembered positions.

@@ -15,6 +15,7 @@ it (n = 1, 2, just under), where the public hooks no longer reach.
 """
 
 import json
+import tracemalloc
 
 import numpy
 import pytest
@@ -33,6 +34,7 @@ from repro.core.collector import VscsiStatsCollector
 from repro.core.histogram import BATCH_CROSSOVER, Histogram
 from repro.core.histogram2d import TimeSeriesHistogram
 from repro.core.tracing import TraceRecord, replay_into_collector
+from repro.core import window as window_module
 from repro.core.window import LookBehindWindow
 from repro.sim.engine import Engine
 from repro.parallel.trace_io import (
@@ -48,6 +50,20 @@ ALL_SCHEMES = [IO_LENGTH_BINS, SEEK_DISTANCE_BINS, LATENCY_US_BINS,
 #: kernels: the vectorized edge cases live here (one row has no
 #: adjacent pair; two rows have exactly one).
 BELOW_CROSSOVER = [1, 2, BATCH_CROSSOVER - 1]
+
+#: Transient peak (MiB, ``tracemalloc``) of one 32 768-row frame through
+#: the batch hooks when the window still ran a per-command loop.
+FRAME_PEAK_MIB = {"seq": 5.62, "rand": 6.57}
+
+#: Issue rows (by index) whose exact values leave int64 somewhere in the
+#: vectorized issue kernel.
+INT64_EDGE_ROWS = {
+    "lba": lambda i: (1000 * i, i % 3 == 0, 2**63 - 10 - (i % 2) * 5000,
+                      64, 0),
+    "time": lambda i: (2**62 + i if i else -2**62 - 5, i % 3 == 0, 64 * i,
+                       8, 0),
+    "nblocks": lambda i: (1000 * i, i % 3 == 0, 0, 2**60, 0),
+}
 
 # Values beyond int64 range included deliberately: the numpy kernel
 # must detect them and decline, leaving the exact scalar loop.
@@ -174,6 +190,53 @@ class TestInsertManyKernels:
         assert batched.total == scalar.total == BATCH_CROSSOVER * 2**61
 
 
+class TestTimeSeriesKernel:
+    @given(pairs=st.lists(st.tuples(st.integers(min_value=0,
+                                                max_value=10**6)
+                                    | st.integers(min_value=0,
+                                                  max_value=10**25),
+                                    wild_values),
+                          max_size=3 * BATCH_CROSSOVER),
+           interval=st.sampled_from([1, 7, 1_000, 250_000]),
+           columns=st.sampled_from(["list", "numpy"]))
+    @settings(max_examples=60, deadline=None)
+    def test_multi_slot_batch_matches_scalar_insert(self, pairs, interval,
+                                                    columns):
+        # Unsorted times over many slots: the grouped kernel must open
+        # the same slots (in the same order) with the same contents.
+        # Times beyond int64 take the scalar rule, to the same state.
+        scalar = TimeSeriesHistogram(LATENCY_US_BINS, interval)
+        batched = TimeSeriesHistogram(LATENCY_US_BINS, interval)
+        scalar.insert(3 * interval, 5)
+        batched.insert(3 * interval, 5)
+        for time_ns, value in pairs:
+            scalar.insert(time_ns, value)
+        times = [p[0] for p in pairs]
+        values = [p[1] for p in pairs]
+        if columns == "numpy" and all(abs(v) < 2**62
+                                      for v in times + values):
+            times, values = numpy.asarray(times), numpy.asarray(values)
+        batched.insert_many(times, values)
+        assert list(batched._slots) == list(scalar._slots)
+        assert batched.num_slots == scalar.num_slots
+        assert canon(batched.to_dict()) == canon(scalar.to_dict())
+
+    @pytest.mark.parametrize("columns", ["list", "numpy"])
+    def test_negative_time_in_a_multi_slot_batch_changes_nothing(self,
+                                                                 columns):
+        series = TimeSeriesHistogram(LATENCY_US_BINS, 1_000)
+        series.insert(500, 7)
+        before = canon(series.to_dict())
+        times = [10_000 * i for i in range(BATCH_CROSSOVER)] + [-1, 2_500]
+        values = list(range(len(times)))
+        if columns == "numpy":
+            times, values = numpy.asarray(times), numpy.asarray(values)
+        with pytest.raises(ValueError, match="negative time -1"):
+            series.insert_many(times, values)
+        assert canon(series.to_dict()) == before
+        assert series.num_slots == 1
+
+
 # ----------------------------------------------------------------------
 # Look-behind window
 # ----------------------------------------------------------------------
@@ -191,7 +254,7 @@ class TestObserveMany:
     def test_matches_scalar_observe_including_state(self, commands, size,
                                                     cut):
         # Small LBA range forces frequent exact-abs-distance ties, the
-        # hardest case for the sorted-mirror fast path.
+        # hardest case for the block kernel (its ring-order tie rule).
         pairs = [(lba, lba + nb - 1) for lba, nb in commands]
         scalar = LookBehindWindow(size)
         batched = LookBehindWindow(size)
@@ -207,6 +270,47 @@ class TestObserveMany:
         assert batched._ring == scalar._ring
         assert batched._next == scalar._next
         assert batched._filled == scalar._filled
+
+    @given(
+        commands=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=40),
+                      st.integers(min_value=0, max_value=40)),
+            max_size=150,
+        ),
+        size=st.integers(min_value=1, max_value=19),
+        block=st.integers(min_value=1, max_value=9),
+        cut=st.integers(min_value=0, max_value=150),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_kernel_ties_match_ring_order_across_blocks(
+            self, commands, size, block, cut):
+        # Positions 0..40 make +a/-a ties common; tiny row blocks put
+        # block boundaries (and tie rows) everywhere in the batch.
+        scalar = LookBehindWindow(size)
+        batched = LookBehindWindow(size)
+        expected = [scalar.observe(fb, lb) for fb, lb in commands]
+        cut = min(cut, len(commands))
+        got = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(window_module, "BLOCK_ROWS", block)
+            for part in (commands[:cut], commands[cut:]):
+                got += batched.observe_many([p[0] for p in part],
+                                            [p[1] for p in part])
+        assert got == expected
+        assert (batched._ring, batched._next, batched._filled) \
+            == (scalar._ring, scalar._next, scalar._filled)
+
+    def test_positions_beyond_the_safe_range_take_the_scalar_rule(self):
+        edge = (1 << 63) - 1
+        pairs = [(edge - 3 * i, edge - i) for i in range(40)] \
+            + [(-edge + i, -edge + 2 * i) for i in range(40)]
+        scalar = LookBehindWindow(4)
+        batched = LookBehindWindow(4)
+        expected = [scalar.observe(fb, lb) for fb, lb in pairs]
+        got = batched.observe_many([p[0] for p in pairs],
+                                   [p[1] for p in pairs])
+        assert got == expected
+        assert batched._ring == scalar._ring
 
 
 # ----------------------------------------------------------------------
@@ -379,6 +483,103 @@ class TestCollectorBatchHooks:
             family_view.insert(value, is_read)
             reference.insert(value)
         assert family_view.all == reference
+
+    @pytest.mark.parametrize("columns", ["list", "numpy"])
+    @given(rows=straddling(
+        st.tuples(
+            st.integers(min_value=0, max_value=2_000_000),   # arrival gap ns
+            st.booleans(),
+            st.integers(min_value=0, max_value=1 << 30),
+            st.integers(min_value=1, max_value=2048),
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=0, max_value=30_000_000),  # latency ns
+        ), longest=4 * BATCH_CROSSOVER),
+        slot_ns=st.sampled_from([1_000_000, 7_000_000, 50_000_000]),
+        cut=st.integers(min_value=0, max_value=4 * BATCH_CROSSOVER))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_hooks_match_scalar_loop_across_time_slots(
+            self, columns, rows, slot_ns, cut):
+        # Slots of a few ms make every frame straddle several of them;
+        # completion times (issue + a latency longer than the gaps)
+        # arrive unsorted, as they do on the live path.
+        issues = absolute_rows([row[:5] for row in rows])
+        completes = [(issue[0] + row[5], issue[1], row[5])
+                     for issue, row in zip(issues, rows)]
+        scalar = VscsiStatsCollector(time_slot_ns=slot_ns)
+        batched = VscsiStatsCollector(time_slot_ns=slot_ns)
+        for issue, complete in zip(issues, completes):
+            scalar.on_issue(*issue)
+            scalar.on_complete(*complete)
+        for part in (slice(0, cut), slice(cut, None)):
+            batched.on_issue_batch(*as_columns(issues[part], 5, columns))
+            batched.on_complete_batch(*as_columns(completes[part], 3,
+                                                  columns))
+        assert canon(batched.to_dict()) == canon(scalar.to_dict())
+
+    @pytest.mark.parametrize("columns", ["list", "numpy"])
+    @pytest.mark.parametrize("edge", sorted(INT64_EDGE_ROWS))
+    def test_issue_batch_at_the_int64_edges_matches_scalar_loop(self, edge,
+                                                                columns):
+        # Each column set makes some int64 intermediate of the kernel
+        # (end block and seek distance, interarrival gap, byte length)
+        # wrap; the batch must give the scalar loop's exact Python-int
+        # state instead.
+        rows = [INT64_EDGE_ROWS[edge](i) for i in range(40)]
+        scalar = VscsiStatsCollector(time_slot_ns=0)
+        batched = VscsiStatsCollector(time_slot_ns=0)
+        for row in rows:
+            scalar.on_issue(*row)
+        batched.on_issue_batch(*as_columns(rows, 5, columns))
+        if edge == "lba":
+            assert batched.seek_distance_windowed.all.total == -7457
+        assert canon(batched.to_dict()) == canon(scalar.to_dict())
+
+    @pytest.mark.parametrize("kind", ["seq", "rand"])
+    def test_frame_transient_memory_stays_bounded(self, kind):
+        # One 32 768-row issue + complete frame on a warmed collector.
+        # The window kernel works in fixed row blocks, so its transient
+        # arrays do not grow with the frame; the ceilings are what the
+        # earlier per-command window loop peaked at on the same frames
+        # (numpy 2.4, CPython 3.11).
+        rows = 32_768
+        rng = numpy.random.default_rng(101)
+        frames = []
+        now = 0
+        for _ in range(2):
+            if kind == "seq":
+                gaps = rng.integers(80_000, 160_000, rows)
+                nblocks = numpy.full(rows, 128, dtype=numpy.uint32)
+                lba = 128 * numpy.arange(len(frames) * rows,
+                                         (len(frames) + 1) * rows)
+                is_read = numpy.ones(rows, dtype=bool)
+            else:
+                gaps = rng.integers(30_000, 90_000, rows)
+                nblocks = numpy.full(rows, 8, dtype=numpy.uint32)
+                lba = 8 * rng.integers(0, 1 << 24, rows)
+                is_read = rng.random(rows) < 0.2
+            issue = now + numpy.cumsum(gaps)
+            now = int(issue[-1])
+            complete = issue + rng.integers(300_000, 1_600_000, rows)
+            frames.append((issue, is_read, lba, nblocks, complete))
+        outstanding = numpy.full(rows, 8, dtype=numpy.int64)
+
+        def feed(collector, frame):
+            issue, is_read, lba, nblocks, complete = frame
+            collector.on_issue_batch(issue, is_read, lba, nblocks,
+                                     outstanding)
+            collector.on_complete_batch(complete, is_read, complete - issue)
+
+        collector = VscsiStatsCollector()
+        feed(collector, frames[0])
+        tracemalloc.start()
+        try:
+            feed(collector, frames[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ceiling = FRAME_PEAK_MIB[kind]
+        assert peak <= ceiling * 2**20, (
+            f"{kind}: {peak / 2**20:.2f} MiB > {ceiling} MiB")
 
 
 # ----------------------------------------------------------------------
